@@ -9,9 +9,9 @@ activity to self-reinforcement, popularity, and exogenous factors.
 
 from .attribution import (AttributionReport, attribution_report, exo_score,
                           pop_score, self_score, triggering_probability)
-from .baselines import (ArimaLiteParams, DriftParams, PCNHPPParams,
-                        fit_arima_lite, fit_global_hawkes, fit_nhpp_drift,
-                        fit_pc_nhpp, fit_poisson, forecast_arima)
+from .baselines import (ArimaLiteParams, DriftParams, fit_arima_lite,
+                        fit_global_hawkes, fit_nhpp_drift, fit_pc_nhpp, fit_poisson,
+                        forecast_arima)
 from .forecast import (EvaluationTable, ForecastResult, SplitSpec, default_split,
                        evaluate_all, expected_count, holdout_log_likelihood,
                        mc_expected_count, split_stream)

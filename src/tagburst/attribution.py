@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hawkes import FitResult, HawkesParams, decay_sums
+from .hawkes import (FitResult, HawkesParams, _check_times, _excitation, _params_from_fit,
+                     decay_sums)
 from .ingest import Event, EventStream
 from .taggraph import GenreCluster
 
@@ -40,12 +41,10 @@ def triggering_probability(p: HawkesParams, times: Sequence[float], i: int, j: i
     Simultaneous events are ordered by index: an earlier-indexed event can
     trigger a later one at full weight, never the reverse.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size and np.any(np.diff(times) < 0):
-        raise ValueError("event times must be sorted ascending")
+    times = _check_times(times)
     if not (0 <= i < j < times.size):
         raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={times.size}")
-    lam_j = p.mu + p.beta * float(np.sum(np.exp(-p.omega * (times[j] - times[:j]))))
+    lam_j = p.mu + _excitation(p, times[:j], times[j])
     return p.beta * math.exp(-p.omega * (times[j] - times[i])) / lam_j
 
 
@@ -114,24 +113,28 @@ def _pair_sums(p: HawkesParams, times: np.ndarray,
     return den, num_self, num_pop, n_pairs
 
 
-def _require_attributable(cluster: GenreCluster, p: HawkesParams) -> None:
+def _shares(cluster: GenreCluster, p: HawkesParams,
+            same_uploader: Sequence[str] | None,
+            psi: np.ndarray | None, thresholds: np.ndarray | None,
+            ) -> tuple[float, float, int]:
+    """(self share, popularity share, pairs evaluated) of one cluster.
+
+    Raises ValueError naming the reason when there is no endogenous mass to
+    attribute: fewer than 2 events, beta = 0, or every pair truncated away.
+    """
     if len(cluster.events) < 2 or p.beta <= 0:
-        raise ValueError(
-            f"cluster {cluster.cluster_id}: no endogenous mass to attribute "
-            "(needs at least 2 events and beta > 0)")
+        raise ValueError("no endogenous mass")
+    den, num_self, num_pop, n_pairs = _pair_sums(
+        p, cluster.events.times, same_uploader, psi, thresholds)
+    if den == 0.0:
+        raise ValueError("pair contributions vanish")
+    return num_self / den, num_pop / den, n_pairs
 
 
 def self_score(cluster: GenreCluster, p: HawkesParams) -> float:
     """Share of triggering mass on same-uploader pairs, in [0, 1]."""
-    _require_attributable(cluster, p)
-    events = cluster.events.events
-    uploaders = [e.uploader_id for e in events]
-    den, num, _, _ = _pair_sums(p, cluster.events.times, uploaders, None, None)
-    if den == 0.0:
-        raise ValueError(
-            f"cluster {cluster.cluster_id}: no endogenous mass to attribute "
-            "(all pair contributions vanish)")
-    return num / den
+    uploaders = [e.uploader_id for e in cluster.events.events]
+    return _shares(cluster, p, uploaders, None, None)[0]
 
 
 def pop_score(cluster: GenreCluster, p: HawkesParams, w_comments: float = 1.0,
@@ -145,17 +148,11 @@ def pop_score(cluster: GenreCluster, p: HawkesParams, w_comments: float = 1.0,
     """
     if not (math.isfinite(w_comments) and w_comments >= 0):
         raise ValueError(f"w_comments must be >= 0, got {w_comments}")
-    _require_attributable(cluster, p)
     events = cluster.events.events
     ref = reference if reference is not None else cluster.events
     psi = _psi_values(events, w_comments)
     thresholds = _prior_thresholds(events, ref, w_comments, causal)
-    den, _, num, _ = _pair_sums(p, cluster.events.times, None, psi, thresholds)
-    if den == 0.0:
-        raise ValueError(
-            f"cluster {cluster.cluster_id}: no endogenous mass to attribute "
-            "(all pair contributions vanish)")
-    return num / den
+    return _shares(cluster, p, None, psi, thresholds)[1]
 
 
 def exo_score(s_self: float, s_pop: float) -> float:
@@ -176,14 +173,6 @@ class AttributionReport:
     w_comments: float
     attributable: bool = True
     note: str = ""
-
-
-def _params_from_fit(fit: FitResult) -> HawkesParams:
-    try:
-        return HawkesParams(mu=float(fit.params["mu"]), beta=float(fit.params["beta"]),
-                            omega=float(fit.params["omega"]))
-    except KeyError as exc:
-        raise ValueError(f"fit for model {fit.model!r} lacks parameter {exc}") from None
 
 
 def attribution_report(clusters: Sequence[GenreCluster],
@@ -211,34 +200,20 @@ def attribution_report(clusters: Sequence[GenreCluster],
     reports = []
     for c in clusters:
         fit = fits[c.cluster_id]
-
-        def marker(note: str) -> AttributionReport:
-            return AttributionReport(c.cluster_id, None, None, None, 0,
-                                     float(w_comments), attributable=False, note=note)
-
-        if not fit.converged:
-            reports.append(marker("not attributable: fit did not converge"))
-            continue
-        try:
-            p = _params_from_fit(fit)
-        except ValueError as exc:
-            reports.append(marker(f"not attributable: {exc}"))
-            continue
-        if len(c.events) < 2 or p.beta <= 0:
-            reports.append(marker("not attributable: no endogenous mass"))
-            continue
-
         events = c.events.events
         uploaders = [e.uploader_id for e in events]
         psi = _psi_values(events, w_comments)
         thresholds = _prior_thresholds(events, reference or c.events, w_comments, causal)
-        den, num_self, num_pop, n_pairs = _pair_sums(
-            p, c.events.times, uploaders, psi, thresholds)
-        if den == 0.0:
-            reports.append(marker("not attributable: pair contributions vanish"))
+        try:
+            if not fit.converged:
+                raise ValueError("fit did not converge")
+            s_self, s_pop, n_pairs = _shares(c, _params_from_fit(fit), uploaders, psi,
+                                             thresholds)
+        except ValueError as exc:
+            reports.append(AttributionReport(
+                c.cluster_id, None, None, None, 0, float(w_comments),
+                attributable=False, note=f"not attributable: {exc}"))
             continue
-        s_self = num_self / den
-        s_pop = num_pop / den
         s_exo = 1.0 - (s_self + s_pop)
         note = "negative exogenous share: self and popularity shares overlap" \
             if s_exo < 0 else ""

@@ -15,11 +15,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from ._optim import MAX_ITER, maximize
-from .hawkes import FitResult, fit_mle, make_fit_result
+from .hawkes import FitResult, _check_times, fit_mle, make_fit_result
 from .taggraph import GenreCluster
 
 __all__ = [
-    "PCNHPPParams",
     "DriftParams",
     "ArimaLiteParams",
     "fit_poisson",
@@ -36,18 +35,6 @@ _SIGMA2_FLOOR = 1e-12  # keeps the Gaussian loglik finite on zero-residual fits
 _MA_CLAMP = 1.0 - 1e-6
 
 
-def _check_times(times: Sequence[float], T: float) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"observation window T must be positive, got {T}")
-    if times.size:
-        if np.any(np.diff(times) < 0):
-            raise ValueError("event times must be sorted ascending")
-        if times[0] < 0 or times[-1] > T:
-            raise ValueError(f"event times must lie within [0, {T}]")
-    return times
-
-
 def fit_poisson(times: Sequence[float], T: float) -> FitResult:
     """Homogeneous Poisson MLE: mu = n/T, loglik = n (ln mu - 1), k = 1."""
     times = _check_times(times, T)
@@ -57,14 +44,6 @@ def fit_poisson(times: Sequence[float], T: float) -> FitResult:
     mu = n / T
     ll = n * (math.log(mu) - 1.0)
     return make_fit_result("poisson", {"mu": mu}, ll, 1, True, 0)
-
-
-@dataclass(frozen=True)
-class PCNHPPParams:
-    """Piecewise-constant rate: rates[b] on [bin_edges[b], bin_edges[b+1])."""
-
-    bin_edges: tuple[float, ...]
-    rates: tuple[float, ...]
 
 
 def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> FitResult:

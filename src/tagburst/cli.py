@@ -11,18 +11,16 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import attribution, baselines, forecast, simulate, taggraph
-from .hawkes import fit_mle, fit_result_to_dict
+from .hawkes import fit_mle, fit_result_from_dict, fit_result_to_dict
 from .ingest import ParseError, parse_events, write_events
 from .taggraph import GenreCluster
 
@@ -86,13 +84,6 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     return stream, clusters, meta
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     stream, truth = simulate.make_synthetic_corpus(
@@ -143,21 +134,15 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     _, clusters, meta = _load_clusters(args)
 
-    def fit_one(c: GenreCluster) -> dict:
-        times = c.events.times
-        horizon = c.events.horizon_T
+    entries = []
+    for c in clusters:
         entry: dict = {"cluster_id": c.cluster_id, "n_events": len(c.events)}
-        try:
-            entry["hawkes"] = fit_result_to_dict(fit_mle(times, horizon))
-        except ValueError as exc:
-            entry["hawkes"] = {"error": str(exc)}
-        try:
-            entry["poisson"] = fit_result_to_dict(baselines.fit_poisson(times, horizon))
-        except ValueError as exc:
-            entry["poisson"] = {"error": str(exc)}
-        return entry
-
-    entries = _parallel_map(fit_one, clusters, args.threads)
+        for model, fitter in (("hawkes", fit_mle), ("poisson", baselines.fit_poisson)):
+            try:
+                entry[model] = fit_result_to_dict(fitter(c.events.times, c.events.horizon_T))
+            except ValueError as exc:
+                entry[model] = {"error": str(exc)}
+        entries.append(entry)
     _write_json(out / "fits.json", {"eta": meta.get("eta"), "clusters": entries})
     n_ok = sum(1 for e in entries if "error" not in e["hawkes"])
     print(f"wrote {out / 'fits.json'} ({n_ok}/{len(entries)} self-exciting fits)")
@@ -206,20 +191,20 @@ def cmd_forecast(args) -> int:
     return 0
 
 
+def _factor_rows(records: Sequence[dict]) -> list[list]:
+    """One (cluster_id, factor, value) row per share of each attributable record."""
+    return [[r["cluster_id"], factor, repr(r[key])]
+            for r in records if r["attributable"]
+            for factor, key in (("self", "s_self"), ("popularity", "s_pop"),
+                                ("exogenous", "s_exo"))]
+
+
 def cmd_attribute(args) -> int:
     out = Path(args.out)
     fits_doc = json.loads(_require_artifact(out / "fits.json", "fit").read_text())
     _, clusters, _ = _load_clusters(args)
-    fits = {}
-    for entry in fits_doc["clusters"]:
-        h = entry["hawkes"]
-        if "error" in h:
-            continue
-        fits[entry["cluster_id"]] = baselines.make_fit_result(
-            h["model"], {"mu": h["mu"], "beta": h["beta"], "omega": h["omega"]},
-            h["loglik"], h["n_params"], h["converged"], h["n_iter"],
-            branching_ratio=h.get("branching_ratio"),
-            warnings=tuple(h.get("warnings", ())))
+    fits = {entry["cluster_id"]: fit_result_from_dict(entry["hawkes"])
+            for entry in fits_doc["clusters"] if "error" not in entry["hawkes"]}
     missing = [c.cluster_id for c in clusters if c.cluster_id not in fits]
     clusters = [c for c in clusters if c.cluster_id in fits]
     reports = attribution.attribution_report(
@@ -231,21 +216,15 @@ def cmd_attribute(args) -> int:
             note="not attributable: no usable fit"))
     reports.sort(key=lambda r: r.cluster_id)
 
+    records = [vars(r) for r in reports]
     _write_json(out / "attribution.json", {
         "w_comments": args.w_comments,
         "pop_scope": args.pop_scope,
         "causal": not args.all_time_average,
-        "clusters": [vars(r) for r in reports],
+        "clusters": records,
     })
-    factor_rows = []
-    for r in reports:
-        if not r.attributable:
-            continue
-        for factor, value in (("self", r.s_self), ("popularity", r.s_pop),
-                              ("exogenous", r.s_exo)):
-            factor_rows.append([r.cluster_id, factor, repr(value)])
     _write_csv(out / "attribution_factors.csv", ["cluster_id", "factor", "value"],
-               factor_rows)
+               _factor_rows(records))
     print(f"wrote {out / 'attribution.json'} "
           f"({sum(r.attributable for r in reports)}/{len(reports)} attributable)")
     return 0
@@ -270,14 +249,8 @@ def cmd_report(args) -> int:
     _write_csv(out / "aic_diff.csv",
                ["cluster_id", "aic_hawkes", "aic_poisson", "aic_diff"], aic_rows)
 
-    factor_rows = []
-    for r in attribution_doc["clusters"]:
-        if not r["attributable"]:
-            continue
-        for factor, key in (("self", "s_self"), ("popularity", "s_pop"),
-                            ("exogenous", "s_exo")):
-            factor_rows.append([r["cluster_id"], factor, repr(r[key])])
-    _write_csv(out / "factors.csv", ["cluster_id", "factor", "value"], factor_rows)
+    _write_csv(out / "factors.csv", ["cluster_id", "factor", "value"],
+               _factor_rows(attribution_doc["clusters"]))
 
     weekly_rows = []
     for c in clusters:
@@ -309,7 +282,8 @@ def _parse_sweep(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each stage by name."""
     parser = argparse.ArgumentParser(
         prog="tagburst",
         description="Cluster tagged upload streams and model their burst dynamics.")
@@ -341,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit self-exciting and Poisson models per cluster")
     common(p)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-cluster fits")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="train/test evaluation of count forecasts")
@@ -370,35 +342,52 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="collate artifacts into report.json and plot data")
     common(p)
     p.set_defaults(func=cmd_report)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Inject key=value pairs from --config as defaults before the user flags."""
-    if "--config" not in argv:
-        return argv
-    path = Path(argv[argv.index("--config") + 1])
+def _apply_config(path: Path, stage: argparse.ArgumentParser,
+                  stages: Mapping[str, argparse.ArgumentParser]) -> None:
+    """Make key = value lines of the config file defaults of the stage's flags.
+
+    Switches take true or false.  A key that only other stages define is
+    ignored, so one file can serve the whole pipeline; a key that no stage
+    defines is an error.
+    """
     if not path.is_file():
         raise FileNotFoundError(f"missing config file: {path}")
-    injected: list[str] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        injected.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
-    # defaults go right after the subcommand so explicit flags override them
-    return argv[:1] + injected + argv[1:]
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if flag in ("--help", "--config") or \
+                not any(flag in p._option_string_actions for p in stages.values()):
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        action = stage._option_string_actions.get(flag)
+        if action is None:
+            continue
+        if action.nargs == 0:
+            if value.lower() not in ("true", "false"):
+                raise ValueError(f"{path}:{lineno}: {key} takes true or false, got {value!r}")
+            value = value.lower() == "true"
+        # argparse converts a string default with the flag's type; explicit flags win
+        action.default = value
+        action.required = False
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, stages = _build_parser()
+    # find --config before the stage parser, which would demand flags the file may supply
+    pre = argparse.ArgumentParser(prog="tagburst", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
     try:
-        if argv and not argv[0].startswith("-"):
-            argv = _apply_config(argv)
+        if config is not None and argv and argv[0] in stages:
+            _apply_config(Path(config), stages[argv[0]], stages)
         args = parser.parse_args(argv)
         return args.func(args)
     except (ParseError, ValueError, OSError) as exc:

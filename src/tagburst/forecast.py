@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import baselines
-from .hawkes import FitResult, HawkesParams, decay_sums, fit_mle
+from .hawkes import (FitResult, HawkesParams, _check_times, _params_from_fit, compensator,
+                     decay_sums, fit_mle)
 from .simulate import SimConfig, derive_seed, simulate_hawkes
 from .taggraph import GenreCluster
 
@@ -139,17 +140,10 @@ def holdout_log_likelihood(p: HawkesParams, history: Sequence[float],
         raise ValueError("history must end at or before t_start")
     if test.size and (float(np.min(test)) <= t_start or float(np.max(test)) > t_end):
         raise ValueError("test events must lie in (t_start, t_end]")
-    merged = np.concatenate([history, test])
-    if np.any(np.diff(merged) < 0):
-        raise ValueError("event times must be sorted ascending")
+    merged = _check_times(np.concatenate([history, test]))
     lam = p.mu + p.beta * decay_sums(merged, p.omega)
     point_part = float(np.sum(np.log(lam[history.size:])))
-    ratio = p.beta / p.omega
-    integral_end = p.mu * t_end + ratio * float(
-        np.sum(-np.expm1(-p.omega * (t_end - merged))))
-    integral_start = p.mu * t_start + ratio * float(
-        np.sum(-np.expm1(-p.omega * (t_start - history))))
-    return point_part - (integral_end - integral_start)
+    return point_part - (compensator(p, merged, t_end) - compensator(p, history, t_start))
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,7 @@ def _fit_and_forecast(model: str, train: np.ndarray, T: float, horizon: float,
         fit: FitResult = hawkes_cache["fit"]
         if "supercritical" in fit.warnings:
             raise _Supercritical(fit)
-        p = HawkesParams(mu=float(fit.params["mu"]), beta=float(fit.params["beta"]),
-                         omega=float(fit.params["omega"]))
+        p = _params_from_fit(fit)
         if model == "hawkes_mc":
             mean, _ = mc_expected_count(p, train, T, horizon,
                                         n_samples=mc_samples, seed=mc_seed)

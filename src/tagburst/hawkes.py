@@ -33,6 +33,7 @@ __all__ = [
     "FitResult",
     "make_fit_result",
     "fit_result_to_dict",
+    "fit_result_from_dict",
     "intensity_at",
     "log_likelihood",
     "log_likelihood_gradient",
@@ -106,43 +107,46 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     return out
 
 
-def _check_times(times: Sequence[float], T: float) -> np.ndarray:
+def fit_result_from_dict(d: Mapping[str, object]) -> FitResult:
+    """Inverse of fit_result_to_dict: every key it does not reserve is a parameter."""
+    reserved = ("model", "loglik", "aic", "n_params", "converged", "n_iter",
+                "branching_ratio", "warnings")
+    return make_fit_result(
+        d["model"], {k: v for k, v in d.items() if k not in reserved}, d["loglik"],
+        d["n_params"], d["converged"], d["n_iter"],
+        branching_ratio=d.get("branching_ratio"), warnings=d.get("warnings", ()))
+
+
+def _params_from_fit(fit: FitResult) -> HawkesParams:
+    try:
+        return HawkesParams(mu=float(fit.params["mu"]), beta=float(fit.params["beta"]),
+                            omega=float(fit.params["omega"]))
+    except KeyError as exc:
+        raise ValueError(f"fit for model {fit.model!r} lacks parameter {exc}") from None
+
+
+def _check_times(times: Sequence[float], T: float | None = None) -> np.ndarray:
+    """Event times as a finite, ascending 1-D array; given T, also inside [0, T]."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("event times must be one-dimensional")
-    if not math.isfinite(T) or T <= 0:
+    if T is not None and (not math.isfinite(T) or T <= 0):
         raise ValueError(f"observation window T must be positive, got {T}")
     if times.size:
         if not np.all(np.isfinite(times)):
             raise ValueError("event times must be finite")
         if np.any(np.diff(times) < 0):
             raise ValueError("event times must be sorted ascending")
-        if times[0] < 0 or times[-1] > T:
+        if T is not None and (times[0] < 0 or times[-1] > T):
             raise ValueError(f"event times must lie within [0, {T}]")
     return times
 
 
-def decay_sums(times: np.ndarray, omega: float) -> np.ndarray:
-    """A_i = sum_{j<i} exp(-omega (t_i - t_j)) via the O(n) recursion."""
-    n = times.size
-    A = np.zeros(n)
-    if n < 2:
-        return A
-    ts = times.tolist()
-    a = 0.0
-    for i in range(1, n):
-        a = math.exp(-omega * (ts[i] - ts[i - 1])) * (a + 1.0)
-        A[i] = a
-    return A
-
-
-def _decay_sums_with_grad(times: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """A_i as above plus B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega."""
+def _decay_state(times: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """decay_sums A_i plus B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega."""
     n = times.size
     A = np.zeros(n)
     B = np.zeros(n)
-    if n < 2:
-        return A, B
     ts = times.tolist()
     a = b = 0.0
     for i in range(1, n):
@@ -155,6 +159,16 @@ def _decay_sums_with_grad(times: np.ndarray, omega: float) -> tuple[np.ndarray, 
     return A, B
 
 
+def decay_sums(times: np.ndarray, omega: float) -> np.ndarray:
+    """A_i = sum_{j<i} exp(-omega (t_i - t_j)) via the O(n) recursion."""
+    return _decay_state(times, omega)[0]
+
+
+def _excitation(p: HawkesParams, history: np.ndarray, t: float) -> float:
+    """beta * sum_i exp(-omega (t - t_i)): the self-excited part of lam(t) given the history."""
+    return p.beta * float(np.sum(np.exp(-p.omega * (t - history))))
+
+
 def intensity_at(p: HawkesParams, history: Sequence[float], t: float) -> float:
     """Conditional intensity at t given past event times.
 
@@ -164,14 +178,12 @@ def intensity_at(p: HawkesParams, history: Sequence[float], t: float) -> float:
     history = np.asarray(history, dtype=float)
     if history.size and float(np.max(history)) > t:
         raise ValueError("t precedes part of the history")
-    return float(p.mu + p.beta * np.sum(np.exp(-p.omega * (t - history))))
+    return p.mu + _excitation(p, history, t)
 
 
 def compensator(p: HawkesParams, times: Sequence[float], t: float) -> float:
     """Integrated intensity Lambda(t) = mu*t + (beta/omega) * sum_{t_i<t} (1 - e^{-omega(t-t_i)})."""
-    times = np.asarray(times, dtype=float)
-    if times.size and np.any(np.diff(times) < 0):
-        raise ValueError("event times must be sorted ascending")
+    times = _check_times(times)
     if not math.isfinite(t) or t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     past = times[times < t]
@@ -186,27 +198,10 @@ def log_likelihood(p: HawkesParams, times: Sequence[float], T: float) -> float:
     return float(np.sum(np.log(lam)) - compensator(p, times, T))
 
 
-def log_likelihood_gradient(p: HawkesParams, times: Sequence[float], T: float) -> np.ndarray:
-    """Analytic gradient of the log-likelihood wrt (mu, beta, omega)."""
-    times = _check_times(times, T)
-    A, B = _decay_sums_with_grad(times, p.omega)
-    lam = p.mu + p.beta * A
-    inv = 1.0 / lam
-    tail = T - times
-    expd = np.exp(-p.omega * tail)
-    s0 = float(np.sum(-np.expm1(-p.omega * tail)))
-    s1 = float(np.sum(tail * expd))
-    d_mu = float(np.sum(inv)) - T
-    d_beta = float(np.sum(A * inv)) - s0 / p.omega
-    d_omega = (-p.beta * float(np.sum(B * inv))
-               + p.beta * s0 / p.omega ** 2
-               - (p.beta / p.omega) * s1)
-    return np.array([d_mu, d_beta, d_omega])
-
-
-def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float) -> tuple[float, np.ndarray]:
-    mu, beta, omega = np.exp(x)
-    A, B = _decay_sums_with_grad(times, omega)
+def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
+                     T: float) -> tuple[float, np.ndarray]:
+    """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega)."""
+    A, B = _decay_state(times, omega)
     lam = mu + beta * A
     inv = 1.0 / lam
     tail = T - times
@@ -217,9 +212,20 @@ def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float) -> tuple[float,
     d_mu = float(np.sum(inv)) - T
     d_beta = float(np.sum(A * inv)) - s0 / omega
     d_omega = -beta * float(np.sum(B * inv)) + beta * s0 / omega ** 2 - (beta / omega) * s1
+    return ll, np.array([d_mu, d_beta, d_omega])
+
+
+def log_likelihood_gradient(p: HawkesParams, times: Sequence[float], T: float) -> np.ndarray:
+    """Analytic gradient of the log-likelihood wrt (mu, beta, omega)."""
+    times = _check_times(times, T)
+    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T)[1]
+
+
+def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float) -> tuple[float, np.ndarray]:
+    theta = np.exp(x)
+    ll, grad = _loglik_and_grad(*theta, times, T)
     # chain rule onto log-parameters
-    grad = np.array([d_mu * mu, d_beta * beta, d_omega * omega])
-    return -ll, -grad
+    return -ll, -grad * theta
 
 
 def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) -> FitResult:
@@ -264,11 +270,9 @@ def rescaled_residuals(p: HawkesParams, times: Sequence[float]) -> np.ndarray:
     Under the true model these are i.i.d. unit-exponential (time-rescaling),
     which is the basis of the goodness-of-fit check.
     """
-    times = np.asarray(times, dtype=float)
+    times = _check_times(times)
     if times.size == 0:
         raise ValueError("residuals need at least one event")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("event times must be sorted ascending")
     if times[0] < 0:
         raise ValueError("event times must be >= 0")
     A = decay_sums(times, p.omega)

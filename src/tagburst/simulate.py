@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .hawkes import HawkesParams
+from .hawkes import HawkesParams, _check_times, _excitation
 from .ingest import Event, EventStream
 
 __all__ = [
@@ -44,12 +44,10 @@ class SimConfig:
             raise ValueError("window endpoints must be finite")
         if self.t_end <= self.t_start:
             raise ValueError(f"t_end={self.t_end} must exceed t_start={self.t_start}")
-        hist = tuple(float(h) for h in self.history)
-        if any(h >= self.t_start for h in hist):
+        hist = _check_times(self.history)
+        if hist.size and hist[-1] >= self.t_start:
             raise ValueError("history must lie strictly before t_start")
-        if any(hist[i] > hist[i + 1] for i in range(len(hist) - 1)):
-            raise ValueError("history must be sorted ascending")
-        object.__setattr__(self, "history", hist)
+        object.__setattr__(self, "history", tuple(hist.tolist()))
 
 
 def _generator(*key: int) -> np.random.Generator:
@@ -73,8 +71,7 @@ def simulate_hawkes(p: HawkesParams, c: SimConfig) -> np.ndarray:
         raise ValueError(
             f"branching ratio {p.branching_ratio:.3f} >= 1: explosive process refused")
     rng = _generator(c.seed)
-    hist = np.asarray(c.history, dtype=float)
-    excitation = float(p.beta * np.sum(np.exp(-p.omega * (c.t_start - hist))))
+    excitation = _excitation(p, np.asarray(c.history, dtype=float), c.t_start)
 
     out: list[float] = []
     t = c.t_start

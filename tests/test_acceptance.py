@@ -6,6 +6,7 @@ parameters (which are ours to choose) were tuned.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import tagburst
 from oracles import bfs_components, brute_attribution, central_difference, direct_log_likelihood
 from tagburst.attribution import attribution_report, pop_score, self_score, triggering_probability
 from tagburst.baselines import DriftParams, drift_log_likelihood, drift_log_likelihood_gradient, fit_poisson
@@ -282,6 +284,10 @@ def test_09_rescaled_residuals_pass_ks_against_unit_exponential():
 
 
 def test_10_cli_pipeline_smoke(tmp_path):
+    # the stages run the package under test, whether or not it is installed
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(tagburst.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+
     def pipeline(out: Path) -> None:
         events = str(out / "events.jsonl")
         steps = [
@@ -295,7 +301,7 @@ def test_10_cli_pipeline_smoke(tmp_path):
         ]
         for step in steps:
             proc = subprocess.run([sys.executable, "-m", "tagburst", *step],
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, env=env)
             assert proc.returncode == 0, f"{step[0]} failed: {proc.stderr}"
 
     start = time.perf_counter()

@@ -42,6 +42,18 @@ class TestPoisson:
                 <= fit.log_likelihood + 1e-12
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("fitter", [fit_poisson, fit_pc_nhpp, fit_nhpp_drift])
+    @pytest.mark.parametrize("times, message", [
+        ([1.0, float("nan"), 3.0], "finite"),
+        ([[1.0, 2.0], [3.0, 4.0]], "one-dimensional"),
+    ])
+    def test_rejected_with_one_line_error(self, fitter, times, message):
+        with pytest.raises(ValueError, match=message) as exc:
+            fitter(times, 5.0)
+        assert "\n" not in str(exc.value)
+
+
 class TestPiecewiseConstant:
     def test_rates_are_per_bin_counts(self):
         fit = fit_pc_nhpp([0.5, 1.5, 1.6, 8.5], 14.0, bin_width=7.0)

@@ -139,14 +139,6 @@ class TestFit:
             assert entry["poisson"]["model"] == "poisson"
             assert entry["poisson"]["n_params"] == 1
 
-    def test_threads_do_not_change_results(self, corpus):
-        clustered(corpus)
-        run("fit", "--input", str(corpus / "events.jsonl"), "--out", str(corpus))
-        single = (corpus / "fits.json").read_bytes()
-        run("fit", "--input", str(corpus / "events.jsonl"), "--out", str(corpus),
-            "--threads", "4")
-        assert (corpus / "fits.json").read_bytes() == single
-
     def test_rerun_is_byte_identical(self, corpus):
         fitted(corpus)
         first = (corpus / "fits.json").read_bytes()
@@ -277,6 +269,47 @@ class TestConfigFile:
                    "--out", str(tmp_path), "--config",
                    str(tmp_path / "ghost.cfg")) == 1
         assert "ghost.cfg" in capsys.readouterr().err
+
+    def test_switch_takes_true_and_false(self, corpus, tmp_path):
+        fitted(corpus)
+        cfg = tmp_path / "run.cfg"
+        for value, causal in (("true", False), ("false", True)):
+            cfg.write_text(f"all_time_average = {value}\n")
+            assert run("attribute", "--input", str(corpus / "events.jsonl"),
+                       "--out", str(corpus), "--config", str(cfg)) == 0
+            assert read_json(corpus / "attribution.json")["causal"] is causal
+
+    def test_one_config_serves_every_stage(self, corpus, tmp_path):
+        # each stage ignores the keys another stage owns; required flags may come from the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {corpus / 'events.jsonl'}\neta = 2\n"
+                       "train_days = 60\npop_scope = cluster\n")
+        for stage in ("cluster", "fit", "attribute"):
+            assert run(stage, "--out", str(corpus), "--config", str(cfg)) == 0
+        assert read_json(corpus / "attribution.json")["pop_scope"] == "cluster"
+
+    def test_unknown_key_names_file_and_line(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta = 2\n\nthreads = 4\n")
+        assert run("cluster", "--input", str(corpus / "events.jsonl"),
+                   "--out", str(tmp_path), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:3" in err and "threads" in err
+        assert err.count("\n") == 1
+
+    def test_equals_form_is_honoured(self, corpus, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta=2\n")
+        out = tmp_path / "cfg_out"
+        assert run("cluster", "--input", str(corpus / "events.jsonl"),
+                   "--out", str(out), f"--config={cfg}") == 0
+        assert read_json(out / "clusters.json")["eta"] == 2
+
+    def test_bare_config_is_usage_error(self, corpus):
+        with pytest.raises(SystemExit) as exc:
+            run("cluster", "--input", str(corpus / "events.jsonl"),
+                "--out", str(corpus), "--config")
+        assert exc.value.code == 2
 
 
 class TestUsageErrors:

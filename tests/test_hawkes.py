@@ -1,11 +1,16 @@
 """Intensity, likelihood recursion, gradients, and MLE for the exponential kernel."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from oracles import (central_difference, direct_compensator, direct_intensity,
                      direct_log_likelihood)
+from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
 from tagburst.hawkes import (HawkesParams, compensator, decay_sums, fit_mle,
+                             fit_result_from_dict, fit_result_to_dict,
                              intensity_at, log_likelihood,
                              log_likelihood_gradient, make_fit_result,
                              rescaled_residuals)
@@ -242,3 +247,17 @@ class TestFit:
         assert fit.n_params == 3
         assert fit.aic == pytest.approx(6 - 2 * fit.log_likelihood)
         assert 0.0 <= fit.branching_ratio < 1.0
+
+
+class TestFitRecord:
+    def test_round_trips_through_json(self):
+        rng = np.random.default_rng(17)
+        times = random_times(rng, 120, 40.0)
+        counts = np.bincount(times.astype(int), minlength=40).astype(float)
+        hawkes = fit_mle(times, 40.0)
+        fits = [hawkes, replace(hawkes, warnings=("supercritical", "effectively_poisson")),
+                fit_poisson(times, 40.0), fit_pc_nhpp(times, 40.0),
+                fit_nhpp_drift(times, 40.0), fit_arima_lite(counts)[1]]
+        for fit in fits:
+            record = json.loads(json.dumps(fit_result_to_dict(fit)))
+            assert fit_result_from_dict(record) == fit

@@ -12,9 +12,9 @@ from .attribution import (AttributionReport, attribution_report, exo_score,
 from .baselines import (ArimaLiteParams, DriftParams, fit_arima_lite,
                         fit_global_hawkes, fit_nhpp_drift, fit_pc_nhpp, fit_poisson,
                         forecast_arima)
-from .forecast import (EvaluationTable, ForecastResult, SplitSpec, default_split,
-                       evaluate_all, expected_count, holdout_log_likelihood,
-                       mc_expected_count, split_stream)
+from .forecast import (EvaluationTable, ForecastResult, SplitSpec, conditional_mean_count,
+                       default_split, evaluate_all, expected_count,
+                       holdout_log_likelihood, split_stream)
 from .hawkes import (FitResult, HawkesParams, compensator, fit_mle, intensity_at,
                      log_likelihood, log_likelihood_gradient, rescaled_residuals)
 from .ingest import (Event, EventStream, ParseError, parse_events, validate_stream,

@@ -181,9 +181,9 @@ def attribution_report(clusters: Sequence[GenreCluster],
                        pop_scope: str = "platform",
                        causal: bool = True) -> list[AttributionReport]:
     """Per-cluster decomposition.  Clusters whose fit has no endogenous mass
-    (or did not converge) are marked not attributable instead of failing the
-    whole report; a negative exogenous share is flagged in the note, not
-    renormalized."""
+    (or is effectively Poisson, or did not converge) are marked not
+    attributable instead of failing the whole report; a negative exogenous
+    share is flagged in the note, not renormalized."""
     if pop_scope not in ("platform", "cluster"):
         raise ValueError(f"pop_scope must be 'platform' or 'cluster', got {pop_scope!r}")
     for c in clusters:
@@ -207,6 +207,8 @@ def attribution_report(clusters: Sequence[GenreCluster],
         try:
             if not fit.converged:
                 raise ValueError("fit did not converge")
+            if "effectively_poisson" in fit.warnings:
+                raise ValueError("effectively Poisson fit, endogenous mass is noise")
             s_self, s_pop, n_pairs = _shares(c, _params_from_fit(fit), uploaders, psi,
                                              thresholds)
         except ValueError as exc:

@@ -159,7 +159,6 @@ def cmd_forecast(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     table = forecast.evaluate_all(
         clusters, spec, models, bin_width=args.bin_width,
-        mc_samples=args.mc_samples, seed=args.seed,
         aic_pairs=[("hawkes", "poisson")] if {"hawkes", "poisson"} <= set(models) else [])
 
     header = ["cluster_id", "model", "train_days", "horizon_days", "loglik", "aic",
@@ -324,8 +323,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--models", default=DEFAULT_MODELS,
                    help=f"comma-separated subset of {', '.join(forecast.KNOWN_MODELS)}")
     p.add_argument("--bin-width", type=float, default=7.0)
-    p.add_argument("--mc-samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("attribute", help="decompose activity into factor shares")
@@ -373,6 +370,9 @@ def _apply_config(path: Path, stage: argparse.ArgumentParser,
             if value.lower() not in ("true", "false"):
                 raise ValueError(f"{path}:{lineno}: {key} takes true or false, got {value!r}")
             value = value.lower() == "true"
+        elif action.choices is not None and value not in action.choices:
+            raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                             f"{', '.join(action.choices)}, got {value!r}")
         # argparse converts a string default with the flag's type; explicit flags win
         action.default = value
         action.required = False

@@ -1,9 +1,9 @@
 """Train/test splitting, count forecasting, and model comparison.
 
-The closed-form forecast integrates the intensity implied by the training
-history alone, ignoring excitation from events yet to happen, so for
-beta > 0 it underestimates; the Monte-Carlo mode corrects this by
-simulating continuations and averaging.
+The self-exciting forecast is the exact conditional mean of the count: for
+the exponential kernel the expected intensity relaxes from lam(t+) toward
+the stationary rate mu*omega/(omega - beta) at rate omega - beta, so the
+offspring of events yet to happen are counted in closed form.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import baselines
-from .hawkes import (FitResult, HawkesParams, _check_times, _params_from_fit, compensator,
-                     decay_sums, fit_mle)
-from .simulate import SimConfig, derive_seed, simulate_hawkes
+from .hawkes import (FitResult, HawkesParams, _check_times, _excitation, _params_from_fit,
+                     compensator, decay_sums, fit_mle)
 from .taggraph import GenreCluster
 
 __all__ = [
@@ -28,13 +27,13 @@ __all__ = [
     "default_split",
     "split_stream",
     "expected_count",
-    "mc_expected_count",
+    "conditional_mean_count",
     "holdout_log_likelihood",
     "evaluate_all",
 ]
 
-KNOWN_MODELS = ("arima_lite", "hawkes", "hawkes_global", "hawkes_mc",
-                "nhpp_drift", "pc_nhpp", "poisson")
+KNOWN_MODELS = ("arima_lite", "hawkes", "hawkes_global", "nhpp_drift", "pc_nhpp",
+                "poisson")
 POOLED_CLUSTER_ID = -1  # row id for models fit on all clusters pooled
 
 
@@ -88,9 +87,11 @@ def split_stream(times: Sequence[float], spec: SplitSpec,
     return train.copy(), test.copy()
 
 
-def expected_count(p: HawkesParams, history: Sequence[float], t: float,
-                   delta_t: float) -> float:
-    """Compensator increment over (t, t + delta_t] given the history alone."""
+def _mean_count(p: HawkesParams, history: Sequence[float], t: float, delta_t: float,
+                jump: float) -> float:
+    """mu*dt + X*g + mu*jump*(dt - g)/kappa with X the excitation at t, kappa =
+    omega - jump and g = (1 - e^{-kappa dt})/kappa: the expected count over
+    (t, t + dt] when each event inside the window excites by jump."""
     if p.branching_ratio >= 1.0:
         raise ValueError(
             f"branching ratio {p.branching_ratio:.3f} >= 1: forecast refused")
@@ -99,32 +100,27 @@ def expected_count(p: HawkesParams, history: Sequence[float], t: float,
     history = np.asarray(history, dtype=float)
     if history.size and float(np.max(history)) > t:
         raise ValueError("history must end at or before the forecast start t")
-    decay_now = np.exp(-p.omega * (t - history))
-    decay_later = np.exp(-p.omega * (t + delta_t - history))
-    return float(p.mu * delta_t + (p.beta / p.omega) * np.sum(decay_now - decay_later))
+    kappa = p.omega - jump
+    g = -math.expm1(-kappa * delta_t) / kappa  # accurate for small kappa*dt
+    return (p.mu * delta_t + _excitation(p, history, t) * g
+            + p.mu * jump * (delta_t - g) / kappa)
 
 
-def mc_expected_count(p: HawkesParams, history: Sequence[float], t: float,
-                      delta_t: float, n_samples: int = 1000,
-                      seed: int = 0) -> tuple[float, float]:
-    """Monte-Carlo forecast: (mean, sample std) of the count over
-    (t, t + delta_t] across simulated continuations of the history."""
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be >= 100, got {n_samples}")
-    if p.branching_ratio >= 1.0:
-        raise ValueError(
-            f"branching ratio {p.branching_ratio:.3f} >= 1: forecast refused")
-    if not (math.isfinite(delta_t) and delta_t >= 0):
-        raise ValueError(f"delta_t must be >= 0, got {delta_t}")
-    if delta_t == 0.0:
-        return 0.0, 0.0
-    hist = tuple(float(h) for h in np.asarray(history, dtype=float))
-    counts = np.empty(n_samples)
-    for k in range(n_samples):
-        sim = simulate_hawkes(p, SimConfig(
-            seed=derive_seed(seed, k), t_start=t, t_end=t + delta_t, history=hist))
-        counts[k] = sim.size
-    return float(np.mean(counts)), float(np.std(counts, ddof=1))
+def expected_count(p: HawkesParams, history: Sequence[float], t: float,
+                   delta_t: float) -> float:
+    """Compensator increment over (t, t + delta_t] given the history alone.
+
+    Events inside the window are not credited with offspring, so for beta > 0
+    this is a lower bound on conditional_mean_count.
+    """
+    return _mean_count(p, history, t, delta_t, 0.0)
+
+
+def conditional_mean_count(p: HawkesParams, history: Sequence[float], t: float,
+                           delta_t: float) -> float:
+    """Expected number of events in (t, t + delta_t] given the history up to t,
+    offspring of the window's own events included."""
+    return _mean_count(p, history, t, delta_t, p.beta)
 
 
 def holdout_log_likelihood(p: HawkesParams, history: Sequence[float],
@@ -205,20 +201,14 @@ def _daily_counts(times: np.ndarray, span: float) -> np.ndarray:
 
 
 def _fit_and_forecast(model: str, train: np.ndarray, T: float, horizon: float,
-                      hawkes_cache: dict, mc_samples: int, mc_seed: int,
-                      bin_width: float) -> tuple[FitResult, float]:
-    if model in ("hawkes", "hawkes_mc", "hawkes_global"):
+                      hawkes_cache: dict, bin_width: float) -> tuple[FitResult, float]:
+    if model in ("hawkes", "hawkes_global"):
         if "fit" not in hawkes_cache:
             hawkes_cache["fit"] = fit_mle(train, T)
         fit: FitResult = hawkes_cache["fit"]
         if "supercritical" in fit.warnings:
             raise _Supercritical(fit)
-        p = _params_from_fit(fit)
-        if model == "hawkes_mc":
-            mean, _ = mc_expected_count(p, train, T, horizon,
-                                        n_samples=mc_samples, seed=mc_seed)
-            return fit, mean
-        return fit, expected_count(p, train, T, horizon)
+        return fit, conditional_mean_count(_params_from_fit(fit), train, T, horizon)
     if model == "poisson":
         fit = baselines.fit_poisson(train, T)
         return fit, float(fit.params["mu"]) * horizon
@@ -249,7 +239,6 @@ class _Supercritical(Exception):
 
 def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
                  models: Sequence[str], *, bin_width: float = 7.0,
-                 mc_samples: int = 1000, seed: int = 0,
                  aic_pairs: Sequence[tuple[str, str]] = ()) -> EvaluationTable:
     """Fit every requested model per cluster on the training window and score
     its forecast on the held-out window.
@@ -285,8 +274,7 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
                         actual=actual)
             try:
                 fit, predicted = _fit_and_forecast(
-                    model, train, spec.train_days, spec.horizon_days, cache,
-                    mc_samples, derive_seed(seed, cluster_id & 0xffffffff), bin_width)
+                    model, train, spec.train_days, spec.horizon_days, cache, bin_width)
             except _Supercritical as exc:
                 rows.append(EvalRow(**base, loglik=exc.fit.log_likelihood,
                                     aic=exc.fit.aic, predicted=None, abs_error=None,

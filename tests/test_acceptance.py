@@ -17,10 +17,11 @@ import pytest
 from scipy import stats
 
 import tagburst
+from mc_reference import mc_expected_count
 from oracles import bfs_components, brute_attribution, central_difference, direct_log_likelihood
 from tagburst.attribution import attribution_report, pop_score, self_score, triggering_probability
 from tagburst.baselines import DriftParams, drift_log_likelihood, drift_log_likelihood_gradient, fit_poisson
-from tagburst.forecast import SplitSpec, expected_count, holdout_log_likelihood, mc_expected_count, split_stream
+from tagburst.forecast import SplitSpec, expected_count, holdout_log_likelihood, split_stream
 from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood, log_likelihood_gradient, rescaled_residuals
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import SimConfig, default_corpus_spec, derive_seed, make_synthetic_corpus, simulate_hawkes

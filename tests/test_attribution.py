@@ -237,6 +237,19 @@ class TestReport:
             0, None, None, None, 0, 1.0, attributable=False,
             note="not attributable: no endogenous mass")]
 
+    def test_effectively_poisson_fit_marked_not_attributable(self):
+        # beta is noise next to mu: shares of its pair mass would mean nothing
+        c = make_cluster([1.0, 1.5, 2.0, 2.5], ["u", "u", "v", "v"], views=[5, 50, 5, 50])
+        params = {"mu": 1.0, "beta": 1e-9, "omega": 2.0}
+        noisy = make_fit_result("hawkes", params, -1.0, 3, True, 5,
+                                warnings=["effectively_poisson"])
+        r = attribution_report([c], {0: noisy})[0]
+        assert not r.attributable
+        assert r.s_self is None and r.s_pop is None and r.s_exo is None
+        assert r.note.startswith("not attributable: ") and "Poisson" in r.note
+        plain = make_fit_result("hawkes", params, -1.0, 3, True, 5)
+        assert attribution_report([c], {0: plain})[0].attributable
+
     def test_negative_exogenous_share_noted_not_renormalized(self):
         # one uploader with rising popularity: self and popularity overlap
         c = make_cluster([0.5, 1.0, 1.5, 2.0, 2.5], ["u"] * 5,

@@ -297,6 +297,23 @@ class TestConfigFile:
         assert f"{cfg}:3" in err and "threads" in err
         assert err.count("\n") == 1
 
+    def test_value_outside_choices_names_file_and_line(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("w_comments = 2\npop_scope = bogus\n")
+        assert run("attribute", "--input", str(corpus / "events.jsonl"),
+                   "--out", str(corpus), "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "bogus" in err
+        assert err.count("\n") == 1
+
+    def test_format_outside_choices_names_file_and_line(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert run("cluster", "--input", str(corpus / "events.jsonl"),
+                   "--out", str(tmp_path), "--eta", "2", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:1" in err and "xml" in err
+
     def test_equals_form_is_honoured(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eta=2\n")

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from mc_reference import mc_expected_count
 from oracles import direct_compensator, direct_intensity, expected_count_by_quadrature
-from tagburst.forecast import (POOLED_CLUSTER_ID, SplitSpec, default_split,
-                               evaluate_all, expected_count,
+from tagburst.forecast import (POOLED_CLUSTER_ID, SplitSpec, conditional_mean_count,
+                               default_split, evaluate_all, expected_count,
                                holdout_log_likelihood, make_forecast_result,
-                               mc_expected_count, split_stream)
-from tagburst.hawkes import HawkesParams
+                               split_stream)
+from tagburst.hawkes import HawkesParams, fit_mle
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
 from tagburst.taggraph import GenreCluster, extract_clusters
@@ -108,51 +109,49 @@ class TestExpectedCount:
         assert first + second == pytest.approx(whole, rel=1e-12)
 
 
-class TestMonteCarlo:
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            mc_expected_count(P, [], 0.0, 1.0, n_samples=99)
-
+class TestConditionalMean:
     def test_supercritical_refused(self):
         with pytest.raises(ValueError, match="refused"):
-            mc_expected_count(HawkesParams(1.0, 3.0, 1.0), [], 0.0, 1.0)
+            conditional_mean_count(HawkesParams(1.0, 3.0, 1.0), [], 0.0, 1.0)
 
     def test_zero_horizon(self):
-        assert mc_expected_count(P, [1.0], 2.0, 0.0) == (0.0, 0.0)
+        assert conditional_mean_count(P, [1.0], 2.0, 0.0) == 0.0
 
-    def test_deterministic_given_seed(self):
-        a = mc_expected_count(P, [0.5], 1.0, 5.0, n_samples=100, seed=9)
-        b = mc_expected_count(P, [0.5], 1.0, 5.0, n_samples=100, seed=9)
-        assert a == b
+    def test_poisson_case_is_rate_times_window(self):
+        p = HawkesParams(0.7, 0.0, 1.0)
+        assert conditional_mean_count(p, [1.0, 2.0], 5.0, 3.0) == 0.7 * 3.0
 
-    def test_poisson_case_recovers_rate(self):
-        p = HawkesParams(1.2, 0.0, 1.0)
-        mean, std = mc_expected_count(p, [], 0.0, 20.0, n_samples=400, seed=3)
-        se = std / math.sqrt(400)
-        assert abs(mean - 24.0) < 3 * se + 1e-9
-
-    def test_exceeds_history_only_forecast_when_self_exciting(self):
-        # future events excite themselves; Eq-style closed form cannot see that
+    def test_exceeds_history_only_forecast(self):
+        # future events excite themselves; the history-only increment cannot see that
         rng = np.random.default_rng(0)
-        for k in range(50):
+        for _ in range(50):
             mu = float(rng.uniform(0.3, 1.5))
             om = float(rng.uniform(0.8, 2.5))
             br = float(rng.uniform(0.35, 0.85))
-            p = HawkesParams(mu, br * om, om)
             hist = np.sort(rng.uniform(0, 30, size=20))
-            det = expected_count(p, hist, 30.0, 15.0)
-            mc, _ = mc_expected_count(p, hist, 30.0, 15.0, n_samples=200, seed=k)
-            assert mc >= det
+            p = HawkesParams(mu, br * om, om)
+            assert conditional_mean_count(p, hist, 30.0, 15.0) > \
+                expected_count(p, hist, 30.0, 15.0)
+            p0 = HawkesParams(mu, 0.0, om)
+            assert conditional_mean_count(p0, hist, 30.0, 15.0) == \
+                expected_count(p0, hist, 30.0, 15.0)
 
-    def test_standard_error_shrinks_with_samples(self):
-        p = HawkesParams(0.8, 0.6, 1.5)
-        hist = np.linspace(0.2, 9.8, 12)
-        small = [mc_expected_count(p, hist, 10.0, 10.0, 100, seed=100 + k)[0]
-                 for k in range(12)]
-        big = [mc_expected_count(p, hist, 10.0, 10.0, 400, seed=900 + k)[0]
-               for k in range(12)]
-        ratio = np.std(small) / np.std(big)
-        assert 1.2 < ratio < 3.2  # 4x samples should roughly halve the spread
+    def test_long_window_rate_is_stationary_mean(self):
+        # mu / (1 - beta/omega) = 1.0 for P
+        assert conditional_mean_count(P, [], 0.0, 1e4) / 1e4 == pytest.approx(1.0, rel=1e-4)
+
+    def test_matches_monte_carlo(self):
+        rng = np.random.default_rng(31)
+        n_samples = 1000
+        for k in range(20):
+            om = float(rng.uniform(0.5, 3.0))
+            p = HawkesParams(float(rng.uniform(0.2, 1.5)),
+                             float(rng.uniform(0.05, 0.9)) * om, om)
+            hist = np.sort(rng.uniform(0, 10, size=int(rng.integers(0, 20))))
+            d = float(rng.uniform(0.5, 10.0))
+            mean, std = mc_expected_count(p, hist, 10.0, d, n_samples=n_samples, seed=k)
+            exact = conditional_mean_count(p, hist, 10.0, d)
+            assert abs(exact - mean) <= 4 * std / math.sqrt(n_samples)
 
 
 class TestHoldout:
@@ -206,12 +205,11 @@ class TestEvaluateAll:
         spec = default_split(150.0, train_days=60.0)
         table = evaluate_all(clusters, spec,
                              ["hawkes", "poisson", "pc_nhpp", "nhpp_drift",
-                              "arima_lite", "hawkes_mc", "hawkes_global"],
-                             mc_samples=100)
+                              "arima_lite", "hawkes_global"])
         per_cluster = {(r.cluster_id, r.model) for r in table.rows}
         expected = {(c.cluster_id, m) for c in clusters
                     for m in ("hawkes", "poisson", "pc_nhpp", "nhpp_drift",
-                              "arima_lite", "hawkes_mc")}
+                              "arima_lite")}
         expected.add((POOLED_CLUSTER_ID, "hawkes_global"))
         assert per_cluster == expected
         assert table.exclusions == ()
@@ -220,12 +218,18 @@ class TestEvaluateAll:
         for r in ok:
             assert r.abs_error == pytest.approx(abs(r.predicted - r.actual))
 
-    def test_deterministic_given_seed(self):
+    def test_hawkes_row_is_conditional_mean(self):
         clusters = corpus_clusters()
         spec = default_split(150.0, train_days=60.0)
-        t1 = evaluate_all(clusters, spec, ["hawkes_mc"], mc_samples=100, seed=4)
-        t2 = evaluate_all(clusters, spec, ["hawkes_mc"], mc_samples=100, seed=4)
-        assert t1.rows == t2.rows
+        table = evaluate_all(clusters, spec, ["hawkes"])
+        offset = spec.split_point - spec.train_days
+        assert [r.cluster_id for r in table.rows] == [c.cluster_id for c in clusters]
+        for c, row in zip(clusters, table.rows):
+            train, _ = split_stream(c.events.times, spec)
+            train = train - offset
+            fit = fit_mle(train, spec.train_days)
+            assert row.predicted == conditional_mean_count(
+                HawkesParams(**fit.params), train, spec.train_days, spec.horizon_days)
 
     def test_zero_models_gives_empty_table(self):
         table = evaluate_all(corpus_clusters(), default_split(150.0, 60.0), [])

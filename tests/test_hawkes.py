@@ -228,6 +228,15 @@ class TestFit:
         fit = fit_mle(times, 300.0)
         assert fit.log_likelihood >= log_likelihood(true, times, 300.0) - 1e-9
 
+    def test_simplex_fallback_rescues_stalled_line_search(self):
+        # L-BFGS-B alone stalls with beta near zero at loglik -130.64; the
+        # Nelder-Mead restart reaches -129.470 (beta ~ 2.02, omega ~ 95.2)
+        p = HawkesParams(mu=0.10520315032328138, beta=5.643884733962391,
+                         omega=186.71655854338468)
+        times = simulate_hawkes(p, SimConfig(seed=3, t_start=0.0, t_end=365.0))
+        assert times.size == 41
+        assert fit_mle(times, 365.0).log_likelihood > -129.5
+
     def test_poisson_data_yields_small_branching_ratio(self):
         rng = np.random.default_rng(61)
         times = np.sort(rng.uniform(0.0, 500.0, size=600))

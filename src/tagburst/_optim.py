@@ -4,18 +4,37 @@ Parameters live in log space so positivity is structural.  Convergence means
 the gradient sup-norm fell below GRAD_TOL or the final step below STEP_TOL
 within MAX_ITER iterations; when the quasi-Newton pass stalls we restart
 from its best point with derivative-free Nelder-Mead.
+
+``scipy.optimize`` is loaded on first access to this module's ``minimize``
+attribute (PEP 562), so a stage that never fits never pays its import.
+Callers reach it through that attribute, so a wrapper set on it is used.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 GRAD_TOL = 1e-6
 STEP_TOL = 1e-9
 MAX_ITER = 500
+
+
+def lazy_minimize(module_name: str) -> Callable[[str], object]:
+    """A module ``__getattr__`` whose ``minimize`` is scipy's, imported on
+    first access."""
+    def __getattr__(name: str) -> object:
+        if name == "minimize":
+            from scipy.optimize import minimize
+            return minimize
+        raise AttributeError(f"module {module_name!r} has no attribute {name!r}")
+    return __getattr__
+
+
+__getattr__ = lazy_minimize(__name__)
+_module = sys.modules[__name__]
 
 
 def maximize(neg_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
@@ -26,6 +45,7 @@ def maximize(neg_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
 
     Returns (argmax, max value, converged flag, total iterations).
     """
+    minimize = _module.minimize
     x0 = np.asarray(x0, dtype=float)
     trace: list[np.ndarray] = [x0.copy()]
     res = minimize(neg_and_grad, x0, jac=True, method="L-BFGS-B", bounds=bounds,

@@ -7,14 +7,14 @@ models of different families are comparable on the same stream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from ._optim import MAX_ITER, maximize
+from ._optim import MAX_ITER, lazy_minimize, maximize
 from .hawkes import FitResult, _check_times, fit_mle, make_fit_result
 from .taggraph import GenreCluster
 
@@ -33,6 +33,10 @@ __all__ = [
 
 _SIGMA2_FLOOR = 1e-12  # keeps the Gaussian loglik finite on zero-residual fits
 _MA_CLAMP = 1.0 - 1e-6
+
+# scipy.optimize.minimize, imported on first access (see _optim)
+__getattr__ = lazy_minimize(__name__)
+_module = sys.modules[__name__]
 
 
 def fit_poisson(times: Sequence[float], T: float) -> FitResult:
@@ -154,28 +158,43 @@ class ArimaLiteParams:
 def _css_residuals(y: Sequence[float], p: int, q: int, c: float,
                    phi: Sequence[float], theta: Sequence[float]) -> np.ndarray:
     """Residuals conditional on the first p observations, pre-sample
-    innovations fixed at zero."""
-    y = list(y)
-    n = len(y)
-    if q == 0 and p > 0:
-        ya = np.asarray(y)
-        pred = np.full(n - p, c)
-        for i in range(p):
-            pred += phi[i] * ya[p - 1 - i:n - 1 - i]
-        return ya[p:] - pred
+    innovations fixed at zero.
+
+    The AR prediction c + phi_1 y[t-1] + ... + phi_p y[t-p] is summed
+    left to right over whole arrays; the MA recursion (q <= 2) then runs
+    over Python floats, adding theta_1 eps[t-1] and then theta_2 eps[t-2],
+    and leaves out a lag that reaches before y[0].
+    """
+    if q > 2:
+        raise ValueError(f"MA order must be <= 2, got {q}")
+    ya = np.asarray(y, dtype=float)
+    n = ya.size
+    pred = np.full(n - p, c, dtype=float)
+    for i in range(p):
+        pred += phi[i] * ya[p - 1 - i:n - 1 - i]
     if q == 0:
-        return np.asarray(y) - c
-    eps = [0.0] * n
-    for t in range(p, n):
-        acc = c
-        for i in range(p):
-            acc += phi[i] * y[t - 1 - i]
-        for j in range(q):
-            k = t - 1 - j
-            if k >= 0:
-                acc += theta[j] * eps[k]
-        eps[t] = y[t] - acc
-    return np.asarray(eps[p:])
+        return ya[p:] - pred
+    ys, accs = ya[p:].tolist(), pred.tolist()
+    t0 = float(theta[0])
+    e1 = e2 = 0.0  # eps[t-1], eps[t-2]; zero before the first residual
+    eps = []
+    # at t < q an MA lag reaches before y[0]: that term is left out, not
+    # added as theta * 0.0 (which is nan for an infinite theta)
+    lead = min(max(q - p, 0), n - p)
+    for t in range(lead):
+        acc = accs[t] + t0 * e1 if p + t else accs[t]
+        e1, e2 = ys[t] - acc, e1
+        eps.append(e1)
+    if q == 1:
+        for yt, acc in zip(ys[lead:], accs[lead:]):
+            e1 = yt - (acc + t0 * e1)
+            eps.append(e1)
+    else:
+        t1 = float(theta[1])
+        for yt, acc in zip(ys[lead:], accs[lead:]):
+            e1, e2 = yt - (acc + t0 * e1 + t1 * e2), e1
+            eps.append(e1)
+    return np.asarray(eps, dtype=float)
 
 
 def _css_fit_one(y: np.ndarray, p: int, q: int) -> tuple[np.ndarray, bool, int]:
@@ -196,14 +215,14 @@ def _css_fit_one(y: np.ndarray, p: int, q: int) -> tuple[np.ndarray, bool, int]:
     if x0.size == 1 and q == 0:
         # intercept-only model: the mean minimizes the SSR in closed form
         return np.asarray([float(np.mean(y))]), True, 0
-    res = minimize(ssr, x0, method="Nelder-Mead",
-                   options={"maxiter": MAX_ITER * x0.size, "xatol": 1e-8, "fatol": 1e-10})
+    res = _module.minimize(ssr, x0, method="Nelder-Mead",
+                           options={"maxiter": MAX_ITER * x0.size, "xatol": 1e-8, "fatol": 1e-10})
     return np.asarray(res.x), bool(res.success), int(res.nit)
 
 
 def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
                    max_q: int = 2) -> tuple[ArimaLiteParams, FitResult]:
-    """Grid-search ARIMA(p, d, q) with p <= max_p, d <= max_d, q <= max_q.
+    """Grid-search ARIMA(p, d, q) with p <= max_p, d <= max_d, q <= max_q <= 2.
 
     Each candidate is fit by conditional least squares; the Gaussian
     log-likelihood comes from the residual variance; k = p + q + 2 counts the
@@ -211,6 +230,9 @@ def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
     lexicographically smallest (p, d, q).  MA estimates outside the open unit
     interval are clamped and flagged.
     """
+    if min(max_p, max_d, max_q) < 0 or max_q > 2:
+        raise ValueError("grid bounds must satisfy max_p, max_d >= 0 and 0 <= max_q <= 2, "
+                         f"got max_p={max_p}, max_d={max_d}, max_q={max_q}")
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 1 or counts.size < 20:
         raise ValueError(f"need a daily count series of length >= 20, got {counts.size}")
@@ -256,6 +278,9 @@ def forecast_arima(params: ArimaLiteParams, counts: Sequence[float],
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     counts = np.asarray(counts, dtype=float)
     y = np.diff(counts, n=params.d) if params.d else counts
+    if y.size < params.p:
+        raise ValueError(f"ARIMA({params.p}, {params.d}, {params.q}) forecast needs at least "
+                         f"{params.p + params.d} observed counts, got {counts.size}")
     eps_obs = _css_residuals(y, params.p, params.q, params.intercept,
                              params.ar, params.ma)
     ys = y.tolist()

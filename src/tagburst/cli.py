@@ -192,7 +192,7 @@ def cmd_forecast(args) -> int:
 
 def _factor_rows(records: Sequence[dict]) -> list[list]:
     """One (cluster_id, factor, value) row per share of each attributable record."""
-    return [[r["cluster_id"], factor, repr(r[key])]
+    return [[r["cluster_id"], factor, repr(float(r[key]))]
             for r in records if r["attributable"]
             for factor, key in (("self", "s_self"), ("popularity", "s_pop"),
                                 ("exogenous", "s_exo"))]

@@ -107,3 +107,29 @@ def expected_count_by_quadrature(mu, beta, omega, history, t, delta_t, n_grid=20
     history = np.asarray(history, dtype=float)
     lam = mu + beta * np.sum(np.exp(-omega * (grid[:, None] - history[None, :])), axis=1)
     return np.trapezoid(lam, grid)
+
+
+def loop_css_residuals(y, p, q, c, phi, theta):
+    """ARIMA conditional-sum-of-squares residuals by the plain per-step loop,
+    pre-sample innovations fixed at zero."""
+    y = list(y)
+    n = len(y)
+    if q == 0 and p > 0:
+        ya = np.asarray(y)
+        pred = np.full(n - p, c)
+        for i in range(p):
+            pred += phi[i] * ya[p - 1 - i:n - 1 - i]
+        return ya[p:] - pred
+    if q == 0:
+        return np.asarray(y) - c
+    eps = [0.0] * n
+    for t in range(p, n):
+        acc = c
+        for i in range(p):
+            acc += phi[i] * y[t - 1 - i]
+        for j in range(q):
+            k = t - 1 - j
+            if k >= 0:
+                acc += theta[j] * eps[k]
+        eps[t] = y[t] - acc
+    return np.asarray(eps[p:])

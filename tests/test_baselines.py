@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference
-from tagburst.baselines import (ArimaLiteParams, DriftParams, drift_log_likelihood,
+from oracles import central_difference, loop_css_residuals
+from tagburst.baselines import (ArimaLiteParams, DriftParams, _css_residuals,
+                                drift_log_likelihood,
                                 drift_log_likelihood_gradient, fit_arima_lite,
                                 fit_global_hawkes, fit_nhpp_drift, fit_pc_nhpp,
                                 fit_poisson, forecast_arima)
@@ -173,6 +174,35 @@ class TestGlobalPooled:
             fit_global_hawkes([])
 
 
+class TestCssResiduals:
+    def test_bit_identical_to_loop_reference(self):
+        rng = np.random.default_rng(61)
+        for _ in range(600):
+            p, q = (int(v) for v in rng.integers(0, 3, size=2))
+            d = int(rng.integers(0, 2))
+            counts = rng.poisson(rng.uniform(0.5, 20.0), size=int(rng.integers(20, 121)))
+            y = np.diff(counts.astype(float), n=d) if d else counts.astype(float)
+            c, phi = rng.normal(0.0, 3.0), rng.normal(0.0, 0.8, size=p)
+            theta = rng.uniform(-2.5, 2.5, size=q)  # |theta| > 1 as Nelder-Mead probes
+            fast = _css_residuals(y, p, q, c, phi, theta)
+            ref = loop_css_residuals(y, p, q, c, phi, theta)
+            assert np.array_equal(fast, ref) and fast.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("theta", [(np.inf,), (np.inf, 0.5), (0.5, np.inf)])
+    def test_lags_before_the_series_are_left_out(self, p, theta):
+        # a left-out lag is not theta * 0.0, which is nan for an infinite theta
+        y = np.arange(1.0, 25.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            fast = _css_residuals(y, p, len(theta), 0.5, (0.3,) * p, theta)
+            ref = loop_css_residuals(y, p, len(theta), 0.5, (0.3,) * p, theta)
+        assert np.array_equal(fast, ref, equal_nan=True)
+
+    def test_ma_order_above_two_rejected(self):
+        with pytest.raises(ValueError, match="MA order"):
+            _css_residuals(np.arange(30.0), 0, 3, 0.0, (), (0.1, 0.1, 0.1))
+
+
 def ar1_series(rng, n, phi, c=1.0, sigma=1.0):
     y = np.empty(n)
     y[0] = c / (1 - phi)
@@ -185,6 +215,18 @@ class TestArimaLite:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             fit_arima_lite(np.ones(19))
+
+    @pytest.mark.parametrize("bounds", [{"max_p": -1}, {"max_d": -1}, {"max_q": -1},
+                                        {"max_p": -3, "max_d": -2, "max_q": -1}])
+    def test_negative_grid_bound_rejected(self, bounds):
+        with pytest.raises(ValueError, match="grid bounds") as exc:
+            fit_arima_lite(np.arange(30.0), **bounds)
+        assert "\n" not in str(exc.value)
+
+    def test_ma_order_above_two_rejected(self):
+        with pytest.raises(ValueError, match="max_q=3") as exc:
+            fit_arima_lite(np.arange(30.0), max_q=3)
+        assert "\n" not in str(exc.value)
 
     def test_intercept_only_fits_the_mean(self):
         rng = np.random.default_rng(41)
@@ -239,6 +281,14 @@ class TestArimaLite:
                                  intercept=0.0, sigma2=1.0)
         with pytest.raises(ValueError):
             forecast_arima(params, np.ones(30), 0)
+
+    @pytest.mark.parametrize("p, d, q, n", [(2, 0, 0, 1), (2, 0, 1, 1), (1, 1, 0, 1),
+                                            (2, 1, 1, 2)])
+    def test_forecast_rejects_too_few_counts(self, p, d, q, n):
+        params = ArimaLiteParams(p=p, d=d, q=q, ar=(0.5,) * p, ma=(0.2,) * q,
+                                 intercept=1.0, sigma2=1.0)
+        with pytest.raises(ValueError, match="needs at least"):
+            forecast_arima(params, np.ones(n), 3)
 
     def test_forecast_length_matches_horizon(self):
         rng = np.random.default_rng(59)

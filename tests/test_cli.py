@@ -226,6 +226,13 @@ class TestReport:
             diff = float(row["aic_hawkes"]) - float(row["aic_poisson"])
             assert float(row["aic_diff"]) == pytest.approx(diff)
 
+    def test_factor_rows_equal_attribution_factors(self, corpus):
+        assert self.full_pipeline(corpus) == 0
+        text = (corpus / "factors.csv").read_text()
+        assert (corpus / "attribution_factors.csv").read_text() == text
+        rows = read_csv(corpus / "factors.csv")
+        assert rows and all(repr(float(r["value"])) == r["value"] for r in rows)
+
     def test_requires_upstream_artifacts(self, corpus, capsys):
         clustered(corpus)
         assert run("report", "--input", str(corpus / "events.jsonl"),

@@ -52,35 +52,40 @@ def _psi_values(events: Sequence[Event], w_comments: float) -> np.ndarray:
     return np.array([e.n_views + w_comments * e.n_comments for e in events], dtype=float)
 
 
-def _prior_thresholds(cluster_events: Sequence[Event], reference: EventStream,
-                      w_comments: float, causal: bool) -> np.ndarray:
-    """Per cluster event, the mean popularity of its uploader's reference
+def _prior_means(reference: Sequence[Event], w_comments: float,
+                 causal: bool) -> dict[str, float]:
+    """Per reference video, the mean popularity of its uploader's reference
     uploads; causal means strictly earlier uploads only, an empty history
     averages to zero."""
     by_video: dict[str, float] = {}
     if causal:
         running: dict[str, tuple[float, int]] = {}
-        for e in reference.events:
+        for e in reference:
             total, count = running.get(e.uploader_id, (0.0, 0))
             by_video[e.video_id] = total / count if count else 0.0
             running[e.uploader_id] = (total + e.n_views + w_comments * e.n_comments,
                                       count + 1)
     else:
         totals: dict[str, tuple[float, int]] = {}
-        for e in reference.events:
+        for e in reference:
             total, count = totals.get(e.uploader_id, (0.0, 0))
             totals[e.uploader_id] = (total + e.n_views + w_comments * e.n_comments,
                                      count + 1)
         means = {u: total / count for u, (total, count) in totals.items()}
-        for e in reference.events:
+        for e in reference:
             by_video[e.video_id] = means[e.uploader_id]
+    return by_video
 
+
+def _prior_thresholds(cluster_events: Sequence[Event],
+                      prior_means: Mapping[str, float]) -> np.ndarray:
+    """Per cluster event, its entry in the reference's ``_prior_means``."""
     out = np.empty(len(cluster_events))
     for k, e in enumerate(cluster_events):
-        if e.video_id not in by_video:
+        if e.video_id not in prior_means:
             raise ValueError(
                 f"reference stream is missing cluster video {e.video_id!r}")
-        out[k] = by_video[e.video_id]
+        out[k] = prior_means[e.video_id]
     return out
 
 
@@ -151,7 +156,7 @@ def pop_score(cluster: GenreCluster, p: HawkesParams, w_comments: float = 1.0,
     events = cluster.events.events
     ref = reference if reference is not None else cluster.events
     psi = _psi_values(events, w_comments)
-    thresholds = _prior_thresholds(events, ref, w_comments, causal)
+    thresholds = _prior_thresholds(events, _prior_means(ref.events, w_comments, causal))
     return _shares(cluster, p, None, psi, thresholds)[1]
 
 
@@ -190,12 +195,11 @@ def attribution_report(clusters: Sequence[GenreCluster],
         if c.cluster_id not in fits:
             raise ValueError(f"missing fit for cluster {c.cluster_id}")
 
-    reference = None
-    if pop_scope == "platform" and clusters:
+    platform_means = None
+    if pop_scope == "platform":
         merged = sorted((e for c in clusters for e in c.events.events),
                         key=lambda e: (e.upload_time, e.video_id))
-        reference = EventStream(clusters[0].events.origin, tuple(merged),
-                                max(c.events.horizon_T for c in clusters))
+        platform_means = _prior_means(merged, w_comments, causal)
 
     reports = []
     for c in clusters:
@@ -203,7 +207,9 @@ def attribution_report(clusters: Sequence[GenreCluster],
         events = c.events.events
         uploaders = [e.uploader_id for e in events]
         psi = _psi_values(events, w_comments)
-        thresholds = _prior_thresholds(events, reference or c.events, w_comments, causal)
+        thresholds = _prior_thresholds(
+            events, platform_means if platform_means is not None
+            else _prior_means(events, w_comments, causal))
         try:
             if not fit.converged:
                 raise ValueError("fit did not converge")

@@ -115,11 +115,13 @@ def fit_nhpp_drift(times: Sequence[float], T: float) -> FitResult:
         raise ValueError(f"drift fit needs at least 2 events, got {n}")
     tau = times / T
 
-    def neg_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def neg_and_grad(x: np.ndarray, grad: bool) -> tuple[float, np.ndarray] | float:
         b, r = np.exp(x)
         lam = b + (r - b) * tau
-        inv = 1.0 / lam
         ll = float(np.sum(np.log(lam))) - 0.5 * T * (b + r)
+        if not grad:
+            return -ll
+        inv = 1.0 / lam
         d_b = float(np.sum((1.0 - tau) * inv)) - 0.5 * T
         d_r = float(np.sum(tau * inv)) - 0.5 * T
         return -ll, -np.array([d_b * b, d_r * r])

@@ -246,7 +246,8 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
     Failures are isolated: a model that cannot be fit on one cluster yields a
     'failed' row, a supercritical self-exciting fit yields a 'refused' row,
     and clusters with an empty training window are listed in exclusions.
-    The pooled 'hawkes_global' model appears once under cluster id -1.
+    An 'ok' row whose fit did not converge keeps its numbers and says so in
+    its note.  The pooled 'hawkes_global' model appears once under cluster id -1.
     """
     model_list = sorted(set(models))
     unknown = [m for m in model_list if m not in KNOWN_MODELS]
@@ -289,7 +290,8 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
             fr = make_forecast_result(model, predicted, actual)
             rows.append(EvalRow(**base, loglik=fit.log_likelihood, aic=fit.aic,
                                 predicted=fr.predicted_count, abs_error=fr.abs_error,
-                                rel_error=fr.rel_error))
+                                rel_error=fr.rel_error,
+                                note="" if fit.converged else "fit did not converge"))
 
     per_cluster = [m for m in model_list if m != "hawkes_global"]
     if per_cluster:

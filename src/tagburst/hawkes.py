@@ -142,26 +142,44 @@ def _check_times(times: Sequence[float], T: float | None = None) -> np.ndarray:
     return times
 
 
-def _decay_state(times: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """decay_sums A_i plus B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega."""
+def _decay_state(times: np.ndarray, omega: float,
+                 with_b: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """decay_sums A_i plus B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega.
+
+    B is None unless with_b; A is the same either way, bit for bit.
+    """
     n = times.size
     A = np.zeros(n)
-    B = np.zeros(n)
+    B = np.zeros(n) if with_b else None
     ts = times.tolist()
-    a = b = 0.0
-    for i in range(1, n):
-        d = ts[i] - ts[i - 1]
-        r = math.exp(-omega * d)
-        b = r * (b + d * (a + 1.0))  # uses the previous a
-        a = r * (a + 1.0)
-        A[i] = a
-        B[i] = b
+    exp = math.exp
+    av = memoryview(A)  # float stores into the array without numpy's __setitem__
+    a = 0.0
+    prev = ts[0] if n else 0.0
+    if with_b:
+        bv = memoryview(B)
+        b = 0.0
+        for i in range(1, n):
+            t = ts[i]
+            d = t - prev
+            prev = t
+            r = exp(-omega * d)
+            b = r * (b + d * (a + 1.0))  # uses the previous a
+            a = r * (a + 1.0)
+            av[i] = a
+            bv[i] = b
+    else:
+        for i in range(1, n):
+            t = ts[i]
+            a = exp(-omega * (t - prev)) * (a + 1.0)
+            prev = t
+            av[i] = a
     return A, B
 
 
 def decay_sums(times: np.ndarray, omega: float) -> np.ndarray:
     """A_i = sum_{j<i} exp(-omega (t_i - t_j)) via the O(n) recursion."""
-    return _decay_state(times, omega)[0]
+    return _decay_state(times, omega, with_b=False)[0]
 
 
 def _excitation(p: HawkesParams, history: np.ndarray, t: float) -> float:
@@ -199,16 +217,19 @@ def log_likelihood(p: HawkesParams, times: Sequence[float], T: float) -> float:
 
 
 def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
-                     T: float) -> tuple[float, np.ndarray]:
-    """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega)."""
-    A, B = _decay_state(times, omega)
+                     T: float, grad: bool) -> tuple[float, np.ndarray] | float:
+    """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega);
+    the log-likelihood alone when not grad."""
+    A, B = _decay_state(times, omega, with_b=grad)
     lam = mu + beta * A
-    inv = 1.0 / lam
     tail = T - times
-    expd = np.exp(-omega * tail)
     s0 = float(np.sum(-np.expm1(-omega * tail)))
-    s1 = float(np.sum(tail * expd))
     ll = float(np.sum(np.log(lam))) - mu * T - (beta / omega) * s0
+    if not grad:
+        return ll
+    inv = 1.0 / lam
+    expd = np.exp(-omega * tail)
+    s1 = float(np.sum(tail * expd))
     d_mu = float(np.sum(inv)) - T
     d_beta = float(np.sum(A * inv)) - s0 / omega
     d_omega = -beta * float(np.sum(B * inv)) + beta * s0 / omega ** 2 - (beta / omega) * s1
@@ -218,14 +239,18 @@ def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
 def log_likelihood_gradient(p: HawkesParams, times: Sequence[float], T: float) -> np.ndarray:
     """Analytic gradient of the log-likelihood wrt (mu, beta, omega)."""
     times = _check_times(times, T)
-    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T)[1]
+    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T, grad=True)[1]
 
 
-def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float) -> tuple[float, np.ndarray]:
+def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float,
+                     grad: bool) -> tuple[float, np.ndarray] | float:
+    """The fit objective in log space: (-ll, -gradient), or -ll alone when not grad."""
     theta = np.exp(x)
-    ll, grad = _loglik_and_grad(*theta, times, T)
+    if not grad:
+        return -_loglik_and_grad(*theta, times, T, grad=False)
+    ll, g = _loglik_and_grad(*theta, times, T, grad=True)
     # chain rule onto log-parameters
-    return -ll, -grad * theta
+    return -ll, -g * theta
 
 
 def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) -> FitResult:
@@ -249,7 +274,7 @@ def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) 
     bounds = [(-60.0, 60.0), (math.log(BETA_FLOOR), 60.0), (-60.0, 60.0)]
 
     x, ll, converged, n_iter = maximize(
-        lambda v: _neg_ll_and_grad(v, times, T), x0, bounds=bounds)
+        lambda v, grad: _neg_ll_and_grad(v, times, T, grad), x0, bounds=bounds)
     mu, beta, omega = np.exp(x)
     params = HawkesParams(mu=float(mu), beta=float(beta), omega=float(omega))
 

@@ -117,18 +117,22 @@ def assign_videos(s: EventStream, components: Sequence[set[str]]) -> list[GenreC
                 raise ValueError(f"components overlap on tag {t!r}")
             tag_to_comp[t] = ci
 
+    smallest = [min(comp, default="") for comp in components]
+    winner_of: dict[frozenset[str], int] = {}  # videos sharing a tag set vote alike
     members: dict[int, list] = {}
     for e in s.events:
-        votes: Counter[int] = Counter()
-        for t in e.tags:
-            ci = tag_to_comp.get(t)
-            if ci is None:
-                raise ValueError(
-                    f"video {e.video_id!r} has tag {t!r} outside every component")
-            votes[ci] += 1
-        top = max(votes.values())
-        tied = [ci for ci, v in votes.items() if v == top]
-        winner = min(tied, key=lambda ci: min(components[ci]))
+        winner = winner_of.get(e.tags)
+        if winner is None:
+            votes: Counter[int] = Counter()
+            for t in e.tags:
+                ci = tag_to_comp.get(t)
+                if ci is None:
+                    raise ValueError(
+                        f"video {e.video_id!r} has tag {t!r} outside every component")
+                votes[ci] += 1
+            top = max(votes.values())
+            tied = [ci for ci, v in votes.items() if v == top]
+            winner = winner_of[e.tags] = min(tied, key=smallest.__getitem__)
         members.setdefault(winner, []).append(e)
 
     clusters = []

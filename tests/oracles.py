@@ -4,6 +4,7 @@ Everything here is deliberately naive (quadratic sums, BFS, explicit
 enumeration) so it cannot share a bug with the package's fast paths.
 """
 
+import math
 from collections import deque
 from itertools import combinations
 
@@ -133,3 +134,38 @@ def loop_css_residuals(y, p, q, c, phi, theta):
                 acc += theta[j] * eps[k]
         eps[t] = y[t] - acc
     return np.asarray(eps[p:])
+
+
+def loop_decay_state(times, omega):
+    """Decay sums A_i and B_i = -dA_i/domega by the plain per-step loop that
+    stores each value through numpy indexing."""
+    n = times.size
+    A = np.zeros(n)
+    B = np.zeros(n)
+    ts = times.tolist()
+    a = b = 0.0
+    for i in range(1, n):
+        d = ts[i] - ts[i - 1]
+        r = math.exp(-omega * d)
+        b = r * (b + d * (a + 1.0))  # uses the previous a
+        a = r * (a + 1.0)
+        A[i] = a
+        B[i] = b
+    return A, B
+
+
+def vote_per_video(tag_sets, components):
+    """Component index won by each video's tags, counted afresh per video:
+    most tags wins, ties go to the component holding the smallest tag."""
+    winners = []
+    for tags in tag_sets:
+        votes = {}
+        for t in tags:
+            owner = [ci for ci, comp in enumerate(components) if t in comp]
+            if not owner:
+                raise ValueError(f"tag {t!r} is outside every component")
+            votes[owner[0]] = votes.get(owner[0], 0) + 1
+        top = max(votes.values())
+        winners.append(min((ci for ci, v in votes.items() if v == top),
+                           key=lambda ci: min(components[ci])))
+    return winners

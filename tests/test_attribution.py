@@ -209,6 +209,37 @@ class TestReport:
             assert 0.0 <= r.s_self <= 1.0 and 0.0 <= r.s_pop <= 1.0
             assert r.n_pairs_evaluated > 0
 
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("pop_scope", ["platform", "cluster"])
+    def test_shares_equal_per_cluster_scores(self, pop_scope, causal):
+        # four uploaders post in all three clusters, so the scopes' averages differ
+        rng = np.random.default_rng(37)
+        clusters = []
+        for cid in range(3):
+            n = int(rng.integers(20, 60))
+            events = tuple(sorted(
+                (Event(f"c{cid}v{k:02d}", float(t), f"u{int(rng.integers(0, 4))}",
+                       frozenset({f"g{cid}"}), int(rng.integers(0, 500 * (cid + 1))),
+                       int(rng.integers(0, 30)))
+                 for k, t in enumerate(rng.uniform(0.0, 30.0, size=n))),
+                key=lambda e: (e.upload_time, e.video_id)))
+            clusters.append(GenreCluster(cid, frozenset({f"g{cid}"}),
+                                         EventStream(0.0, events, 30.0)))
+        merged = sorted((e for c in clusters for e in c.events.events),
+                        key=lambda e: (e.upload_time, e.video_id))
+        platform = EventStream(0.0, tuple(merged), 30.0)
+        fit = make_fit_result("hawkes", {"mu": 0.5, "beta": 1.0, "omega": 2.0},
+                              -1.0, 3, True, 5)
+        reports = attribution_report(clusters, {c.cluster_id: fit for c in clusters},
+                                     0.5, pop_scope=pop_scope, causal=causal)
+        reference, other_scope = (platform, None) if pop_scope == "platform" \
+            else (None, platform)
+        for c, r in zip(clusters, reports):
+            assert r.s_self == self_score(c, P)
+            assert r.s_pop == pop_score(c, P, 0.5, reference=reference, causal=causal)
+        assert [r.s_pop for r in reports] != [
+            pop_score(c, P, 0.5, reference=other_scope, causal=causal) for c in clusters]
+
     def test_missing_fit_is_an_error(self):
         clusters = self.synthetic_clusters()
         fits = fits_for(clusters)

@@ -1,12 +1,14 @@
 """Train/test splitting, count forecasts, and the cross-model comparison table."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mc_reference import mc_expected_count
 from oracles import direct_compensator, direct_intensity, expected_count_by_quadrature
+from tagburst import baselines
 from tagburst.forecast import (POOLED_CLUSTER_ID, SplitSpec, conditional_mean_count,
                                default_split, evaluate_all, expected_count,
                                holdout_log_likelihood, make_forecast_result,
@@ -230,6 +232,19 @@ class TestEvaluateAll:
             fit = fit_mle(train, spec.train_days)
             assert row.predicted == conditional_mean_count(
                 HawkesParams(**fit.params), train, spec.train_days, spec.horizon_days)
+
+    def test_unconverged_fit_noted_on_its_ok_row(self, monkeypatch):
+        clusters = corpus_clusters()
+        spec = default_split(150.0, train_days=60.0)
+        before = evaluate_all(clusters, spec, ["poisson", "nhpp_drift"]).rows
+        fit_drift = baselines.fit_nhpp_drift
+        monkeypatch.setattr(baselines, "fit_nhpp_drift",
+                            lambda times, T: replace(fit_drift(times, T), converged=False))
+        after = evaluate_all(clusters, spec, ["poisson", "nhpp_drift"]).rows
+        assert [r.note for r in before] == [""] * len(before)
+        assert after == tuple(replace(r, note="fit did not converge")
+                              if r.model == "nhpp_drift" else r for r in before)
+        assert all(r.status == "ok" for r in after)
 
     def test_zero_models_gives_empty_table(self):
         table = evaluate_all(corpus_clusters(), default_split(150.0, 60.0), [])

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import (central_difference, direct_compensator, direct_intensity,
-                     direct_log_likelihood)
+                     direct_log_likelihood, loop_decay_state)
+from tagburst import _optim, baselines, hawkes
 from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
-from tagburst.hawkes import (HawkesParams, compensator, decay_sums, fit_mle,
+from tagburst.hawkes import (HawkesParams, _decay_state, compensator, decay_sums, fit_mle,
                              fit_result_from_dict, fit_result_to_dict,
                              intensity_at, log_likelihood,
                              log_likelihood_gradient, make_fit_result,
@@ -88,6 +89,23 @@ class TestDecaySums:
     def test_simultaneous_events_excite_at_weight_one(self):
         a = decay_sums(np.array([1.0, 1.0, 1.0]), 2.0)
         np.testing.assert_allclose(a, [0.0, 1.0, 2.0])
+
+
+    def test_recursion_equals_loop_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        streams = [np.array([]), np.array([3.0]), np.array([1.0, 2.5]),
+                   np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0])]
+        for _ in range(6):
+            t = random_times(rng, int(rng.integers(3, 300)), 50.0)
+            streams += [t, np.round(t, 1)]  # the rounded copy has tied times
+        for t in streams:
+            for omega in [*np.geomspace(1e-3, 500.0, 9), 1e26]:
+                A0, B0 = loop_decay_state(t, omega)
+                A, B = _decay_state(t, omega, with_b=True)
+                assert A.tobytes() == A0.tobytes() and B.tobytes() == B0.tobytes()
+                A, B = _decay_state(t, omega, with_b=False)
+                assert A.tobytes() == A0.tobytes() and B is None
+                assert decay_sums(t, omega).tobytes() == A0.tobytes()
 
 
 class TestCompensator:
@@ -256,6 +274,68 @@ class TestFit:
         assert fit.n_params == 3
         assert fit.aic == pytest.approx(6 - 2 * fit.log_likelihood)
         assert 0.0 <= fit.branching_ratio < 1.0
+
+
+def stalled_line_search_stream():
+    """41 events on which L-BFGS-B stalls and Nelder-Mead takes over."""
+    p = HawkesParams(mu=0.10520315032328138, beta=5.643884733962391,
+                     omega=186.71655854338468)
+    return simulate_hawkes(p, SimConfig(seed=3, t_start=0.0, t_end=365.0))
+
+
+class TestObjective:
+    """The maximize contract: fun(x, grad) gives (value, gradient) or the value alone."""
+
+    @staticmethod
+    def capture(monkeypatch, module, seen):
+        real = _optim.maximize
+
+        def spy(fun, x0, bounds=None):
+            seen.append((fun, np.asarray(x0)))
+            return real(fun, x0, bounds=bounds)
+        monkeypatch.setattr(module, "maximize", spy)
+
+    def test_value_only_call_equals_value_of_full_call(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        times = random_times(rng, 200, 80.0)
+        seen = []
+        self.capture(monkeypatch, hawkes, seen)
+        self.capture(monkeypatch, baselines, seen)
+        fit_mle(times, 80.0)
+        fit_nhpp_drift(times, 80.0)
+        assert len(seen) == 2
+        for fun, x0 in seen:
+            for _ in range(25):
+                x = x0 + rng.normal(0.0, 1.5, size=x0.size)
+                value = fun(x, False)
+                assert isinstance(value, float)
+                assert np.float64(value).tobytes() == np.float64(fun(x, True)[0]).tobytes()
+
+    def test_simplex_fallback_asks_for_values_only(self, monkeypatch):
+        flags = []
+        returned_at = {}
+        real_maximize, real_minimize = _optim.maximize, _optim.minimize
+
+        def counting_maximize(fun, x0, bounds=None):
+            def logged(x, grad):
+                flags.append(grad)
+                return fun(x, grad)
+            return real_maximize(logged, x0, bounds=bounds)
+
+        def spy_minimize(f, x0, **kwargs):
+            res = real_minimize(f, x0, **kwargs)
+            returned_at[kwargs["method"]] = len(flags)
+            return res
+
+        monkeypatch.setattr(hawkes, "maximize", counting_maximize)
+        monkeypatch.setattr(_optim, "minimize", spy_minimize)
+        fit = fit_mle(stalled_line_search_stream(), 365.0)
+        assert fit.converged
+        assert set(returned_at) == {"L-BFGS-B", "Nelder-Mead"}
+        quasi_newton, simplex = (flags[:returned_at["L-BFGS-B"]],
+                                 flags[returned_at["L-BFGS-B"]:])
+        assert quasi_newton and all(quasi_newton)
+        assert simplex and not any(simplex)
 
 
 class TestFitRecord:

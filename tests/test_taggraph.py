@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import bfs_components, brute_pair_counts
+from oracles import bfs_components, brute_pair_counts, vote_per_video
 from tagburst.ingest import Event, EventStream
 from tagburst.taggraph import (GenreCluster, TagGraph, assign_videos,
                                build_affinity_graph, connected_components,
@@ -128,6 +128,30 @@ class TestAssignment:
         s = make_stream([{"a", "mystery"}])
         with pytest.raises(ValueError, match="mystery"):
             assign_videos(s, [{"a"}])
+
+    def test_unknown_tag_error_names_first_video_carrying_it(self):
+        s = make_stream([{"a"}, {"a", "b"}, {"a", "mystery"}, {"a", "mystery"}])
+        with pytest.raises(ValueError) as exc:
+            assign_videos(s, [{"a", "b"}])
+        assert str(exc.value) == "video 'v002' has tag 'mystery' outside every component"
+
+    def test_matches_per_video_vote_on_repeated_tag_sets(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            # few distinct tag sets, many videos each; small components make ties common
+            distinct = random_tag_sets(rng, int(rng.integers(2, 12)), 9)
+            tag_sets = [distinct[int(k)] for k in rng.integers(0, len(distinct), 150)]
+            tags = sorted(set().union(*tag_sets) | {"zz"})
+            cut = np.sort(rng.choice(np.arange(1, len(tags)), size=3, replace=False))
+            components = [set(part) for part in np.split(rng.permutation(tags), cut)]
+            winners = vote_per_video(tag_sets, components)
+            expected = [(components[ci], [f"v{i:03d}" for i, w in enumerate(winners)
+                                          if w == ci])
+                        for ci in sorted(set(winners))]
+            clusters = assign_videos(make_stream(tag_sets), components)
+            assert [(set(c.tags), [e.video_id for e in c.events.events])
+                    for c in clusters] == expected
+            assert [c.cluster_id for c in clusters] == list(range(len(expected)))
 
     def test_empty_components_dropped_and_ids_consecutive(self):
         s = make_stream([{"a"}, {"z"}])

@@ -127,13 +127,12 @@ def fit_nhpp_drift(times: Sequence[float], T: float) -> FitResult:
         return -ll, -np.array([d_b * b, d_r * r])
 
     x0 = np.log([n / T, n / T])
-    x, ll, converged, n_iter = maximize(neg_and_grad, x0,
-                                        bounds=[(-60.0, 60.0), (-60.0, 60.0)])
-    b, r = np.exp(x)
+    res = maximize(neg_and_grad, x0, bounds=[(-60.0, 60.0), (-60.0, 60.0)])
+    b, r = np.exp(res.x)
     slope = (r - b) / T
     return make_fit_result(
         "nhpp_drift", {"mu_slope": float(slope), "b_intercept": float(b)},
-        ll, 2, converged, n_iter)
+        res.value, 2, res.converged, res.n_iter, optimizer=res.route, grad_max=res.grad_max)
 
 
 def fit_global_hawkes(clusters: Sequence[GenreCluster]) -> FitResult:

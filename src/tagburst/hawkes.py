@@ -78,17 +78,21 @@ class FitResult:
     n_iterations: int
     branching_ratio: float | None = None
     warnings: tuple[str, ...] = ()
+    optimizer: str | None = None  # the _optim.maximize route, for fits that take one
+    grad_max: float | None = None  # gradient sup-norm at the returned point
 
 
 def make_fit_result(model: str, params: Mapping[str, object], log_likelihood: float,
                     n_params: int, converged: bool, n_iterations: int,
                     branching_ratio: float | None = None,
-                    warnings: Sequence[str] = ()) -> FitResult:
+                    warnings: Sequence[str] = (), optimizer: str | None = None,
+                    grad_max: float | None = None) -> FitResult:
     return FitResult(model=model, params=dict(params),
                      log_likelihood=float(log_likelihood), n_params=int(n_params),
                      aic=2.0 * n_params - 2.0 * float(log_likelihood),
                      converged=bool(converged), n_iterations=int(n_iterations),
-                     branching_ratio=branching_ratio, warnings=tuple(warnings))
+                     branching_ratio=branching_ratio, warnings=tuple(warnings),
+                     optimizer=optimizer, grad_max=grad_max)
 
 
 def fit_result_to_dict(fit: FitResult) -> dict:
@@ -100,6 +104,9 @@ def fit_result_to_dict(fit: FitResult) -> dict:
     out["n_params"] = fit.n_params
     out["converged"] = fit.converged
     out["n_iter"] = fit.n_iterations
+    if fit.optimizer is not None:
+        out["optimizer"] = fit.optimizer
+        out["grad_max"] = fit.grad_max
     if fit.branching_ratio is not None:
         out["branching_ratio"] = fit.branching_ratio
     if fit.warnings:
@@ -110,11 +117,12 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 def fit_result_from_dict(d: Mapping[str, object]) -> FitResult:
     """Inverse of fit_result_to_dict: every key it does not reserve is a parameter."""
     reserved = ("model", "loglik", "aic", "n_params", "converged", "n_iter",
-                "branching_ratio", "warnings")
+                "optimizer", "grad_max", "branching_ratio", "warnings")
     return make_fit_result(
         d["model"], {k: v for k, v in d.items() if k not in reserved}, d["loglik"],
         d["n_params"], d["converged"], d["n_iter"],
-        branching_ratio=d.get("branching_ratio"), warnings=d.get("warnings", ()))
+        branching_ratio=d.get("branching_ratio"), warnings=d.get("warnings", ()),
+        optimizer=d.get("optimizer"), grad_max=d.get("grad_max"))
 
 
 def _params_from_fit(fit: FitResult) -> HawkesParams:
@@ -256,8 +264,9 @@ def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float,
 def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) -> FitResult:
     """Maximum-likelihood fit of (mu, beta, omega) on event times in [0, T].
 
-    Ascends in log space with analytic gradients; a stalled line search falls
-    back to simplex search.  Needs at least 5 events and a positive time span.
+    Ascends in log space with analytic gradients (see _optim for the Newton
+    polish and the simplex fallback).  Needs at least 5 events and a
+    positive time span.
     """
     times = _check_times(times, T)
     n = times.size
@@ -273,9 +282,8 @@ def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) 
     x0 = np.log([init.mu, max(init.beta, BETA_FLOOR), init.omega])
     bounds = [(-60.0, 60.0), (math.log(BETA_FLOOR), 60.0), (-60.0, 60.0)]
 
-    x, ll, converged, n_iter = maximize(
-        lambda v, grad: _neg_ll_and_grad(v, times, T, grad), x0, bounds=bounds)
-    mu, beta, omega = np.exp(x)
+    res = maximize(lambda v, grad: _neg_ll_and_grad(v, times, T, grad), x0, bounds=bounds)
+    mu, beta, omega = np.exp(res.x)
     params = HawkesParams(mu=float(mu), beta=float(beta), omega=float(omega))
 
     warnings = []
@@ -285,8 +293,9 @@ def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) 
         warnings.append("effectively_poisson")
     return make_fit_result(
         "hawkes", {"mu": params.mu, "beta": params.beta, "omega": params.omega},
-        ll, 3, converged, n_iter,
-        branching_ratio=params.branching_ratio, warnings=warnings)
+        res.value, 3, res.converged, res.n_iter,
+        branching_ratio=params.branching_ratio, warnings=warnings,
+        optimizer=res.route, grad_max=res.grad_max)
 
 
 def rescaled_residuals(p: HawkesParams, times: Sequence[float]) -> np.ndarray:

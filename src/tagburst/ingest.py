@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class EventStream:
         arr = np.array([e.upload_time for e in self.events], dtype=float)
         arr.flags.writeable = False
         return arr
-
-    def restricted_to(self, video_ids: Iterable[str]) -> "EventStream":
-        """Sub-stream of the given videos; keeps origin and horizon."""
-        wanted = set(video_ids)
-        kept = tuple(e for e in self.events if e.video_id in wanted)
-        return EventStream(self.origin, kept, self.horizon_T)
 
 
 def _micros_from_ts(value: object, line: int) -> int:

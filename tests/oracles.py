@@ -169,3 +169,35 @@ def vote_per_video(tag_sets, components):
         winners.append(min((ci for ci, v in votes.items() if v == top),
                            key=lambda ci: min(components[ci])))
     return winners
+
+
+STEP_TOL = 1e-9
+
+
+def simplex_fallback_maximize(fun, x0, bounds=None, grad_tol=1e-6, max_iter=500):
+    """The maximizer before the Newton polish: L-BFGS-B, then Nelder-Mead
+    from its point whenever the gradient sup-norm stays >= grad_tol and the
+    last step >= STEP_TOL.  Returns (argmax, max value, converged, iterations)."""
+    from scipy.optimize import minimize
+    x0 = np.asarray(x0, dtype=float)
+    trace = [x0.copy()]
+    res = minimize(lambda v: fun(v, True), x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                   callback=lambda xk: trace.append(np.array(xk)),
+                   options={"maxiter": max_iter, "ftol": 1e-12, "gtol": grad_tol})
+    x, best, n_iter = np.asarray(res.x), float(res.fun), int(res.nit)
+    gnorm = float(np.max(np.abs(res.jac)))
+    step = float(np.max(np.abs(trace[-1] - trace[-2]))) if len(trace) >= 2 else np.inf
+    converged = gnorm < grad_tol or step < STEP_TOL
+
+    if not converged:
+        res2 = minimize(lambda v: fun(v, False), x, method="Nelder-Mead",
+                        bounds=bounds,
+                        options={"maxiter": max_iter, "xatol": 1e-10, "fatol": 1e-12})
+        n_iter += int(res2.nit)
+        if res2.fun <= best:
+            x, best = np.asarray(res2.x), float(res2.fun)
+            # the gradient is needed only when the simplex hit its iteration cap
+            converged = bool(res2.success) or \
+                float(np.max(np.abs(fun(x, True)[1]))) < grad_tol
+
+    return x, -best, bool(converged), n_iter

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (central_difference, direct_compensator, direct_intensity,
-                     direct_log_likelihood, loop_decay_state)
+                     direct_log_likelihood, loop_decay_state, simplex_fallback_maximize)
 from tagburst import _optim, baselines, hawkes
 from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
 from tagburst.hawkes import (HawkesParams, _decay_state, compensator, decay_sums, fit_mle,
@@ -283,6 +283,27 @@ def stalled_line_search_stream():
     return simulate_hawkes(p, SimConfig(seed=3, t_start=0.0, t_end=365.0))
 
 
+def hawkes_stream(seed):
+    """About 150 events of a subcritical process over 100 days."""
+    return simulate_hawkes(HawkesParams(0.5, 0.8, 1.2),
+                           SimConfig(seed=seed, t_start=0.0, t_end=100.0))
+
+
+INTERIOR_STALL_SEED = 9  # hawkes_stream(9): L-BFGS-B stops short of GRAD_TOL inside the box
+
+
+def beta_floor_stream():
+    """40 uniform events over 50 days: the fit drives beta to BETA_FLOOR,
+    where the Newton polish fails and the simplex runs."""
+    return np.sort(np.random.default_rng(1).uniform(0.0, 50.0, size=40))
+
+
+def rising_stream(seed):
+    """60 events over 60 days with density rising linearly from zero, so
+    the drift fit's intercept heads for its floor along a flat direction."""
+    return np.sort(60.0 * np.sqrt(np.random.default_rng(seed).uniform(size=60)))
+
+
 class TestObjective:
     """The maximize contract: fun(x, grad) gives (value, gradient) or the value alone."""
 
@@ -291,7 +312,7 @@ class TestObjective:
         real = _optim.maximize
 
         def spy(fun, x0, bounds=None):
-            seen.append((fun, np.asarray(x0)))
+            seen.append((fun, np.asarray(x0), bounds))
             return real(fun, x0, bounds=bounds)
         monkeypatch.setattr(module, "maximize", spy)
 
@@ -304,16 +325,17 @@ class TestObjective:
         fit_mle(times, 80.0)
         fit_nhpp_drift(times, 80.0)
         assert len(seen) == 2
-        for fun, x0 in seen:
+        for fun, x0, _ in seen:
             for _ in range(25):
                 x = x0 + rng.normal(0.0, 1.5, size=x0.size)
                 value = fun(x, False)
                 assert isinstance(value, float)
                 assert np.float64(value).tobytes() == np.float64(fun(x, True)[0]).tobytes()
 
-    def test_simplex_fallback_asks_for_values_only(self, monkeypatch):
-        flags = []
-        returned_at = {}
+    @staticmethod
+    def log_calls(monkeypatch, flags, windows):
+        """Record each objective call's grad flag, and for each scipy method
+        the flag indices at which it was entered and returned, and its result."""
         real_maximize, real_minimize = _optim.maximize, _optim.minimize
 
         def counting_maximize(fun, x0, bounds=None):
@@ -323,19 +345,79 @@ class TestObjective:
             return real_maximize(logged, x0, bounds=bounds)
 
         def spy_minimize(f, x0, **kwargs):
+            entered = len(flags)
             res = real_minimize(f, x0, **kwargs)
-            returned_at[kwargs["method"]] = len(flags)
+            windows[kwargs["method"]] = (entered, len(flags), res)
             return res
 
         monkeypatch.setattr(hawkes, "maximize", counting_maximize)
         monkeypatch.setattr(_optim, "minimize", spy_minimize)
+
+    def test_simplex_fallback_asks_for_values_only(self, monkeypatch):
+        flags, windows = [], {}
+        self.log_calls(monkeypatch, flags, windows)
         fit = fit_mle(stalled_line_search_stream(), 365.0)
-        assert fit.converged
-        assert set(returned_at) == {"L-BFGS-B", "Nelder-Mead"}
-        quasi_newton, simplex = (flags[:returned_at["L-BFGS-B"]],
-                                 flags[returned_at["L-BFGS-B"]:])
+        assert fit.converged and fit.optimizer == "lbfgsb+simplex"
+        assert set(windows) == {"L-BFGS-B", "Nelder-Mead"}
+        quasi_newton, simplex = (flags[slice(*windows["L-BFGS-B"][:2])],
+                                 flags[slice(*windows["Nelder-Mead"][:2])])
         assert quasi_newton and all(quasi_newton)
         assert simplex and not any(simplex)
+
+    def test_newton_polish_finishes_interior_stall(self, monkeypatch):
+        flags, windows = [], {}
+        self.log_calls(monkeypatch, flags, windows)
+        fit = fit_mle(hawkes_stream(INTERIOR_STALL_SEED), 100.0)
+        assert set(windows) == {"L-BFGS-B"}
+        _, returned, res = windows["L-BFGS-B"]
+        assert np.max(np.abs(res.jac)) >= _optim.GRAD_TOL
+        assert all(0.1 < fit.params[k] < 10.0 for k in ("mu", "beta", "omega"))
+        assert fit.optimizer == "lbfgsb+newton"
+        assert fit.converged and fit.grad_max < 1e-10
+        steps = fit.n_iterations - res.nit
+        assert 1 <= steps <= _optim.NEWTON_STEPS
+        # each step: two gradients per parameter for the Hessian, one at the new point
+        assert len(flags) - returned == steps * (2 * 3 + 1)
+        assert all(flags[returned:])
+
+    def test_simplex_point_converged_only_where_stationary(self):
+        # a kink at the optimum: Nelder-Mead finds it and reports success,
+        # but the gradient there is not small, so the point is not certified
+        def fun(x, grad):
+            u = x[0] - 0.7 * x[1] - 0.3
+            f = abs(u) + (x[1] - 0.5) ** 2 + 0.1 * (x[0] - 0.2) ** 2
+            g = np.array([np.sign(u) + 0.2 * (x[0] - 0.2),
+                          -0.7 * np.sign(u) + 2.0 * (x[1] - 0.5)])
+            return (f, g) if grad else f
+        res = _optim.maximize(fun, [3.0, -2.0])
+        assert res.route == "lbfgsb+simplex"
+        assert res.grad_max == float(np.max(np.abs(fun(res.x, True)[1]))) > 0.01
+        assert not res.converged
+        assert simplex_fallback_maximize(fun, [3.0, -2.0])[2]
+
+    def test_never_worse_than_simplex_fallback(self, monkeypatch):
+        hawkes_streams = [(stalled_line_search_stream(), 365.0), (beta_floor_stream(), 50.0)]
+        hawkes_streams += [(hawkes_stream(seed), 100.0) for seed in range(10)]
+        drift_streams = hawkes_streams + [(rising_stream(seed), 60.0) for seed in range(6)]
+        seen_hawkes, seen_drift = [], []
+        self.capture(monkeypatch, hawkes, seen_hawkes)
+        self.capture(monkeypatch, baselines, seen_drift)
+        for times, T in hawkes_streams:
+            fit_mle(times, T)
+        for times, T in drift_streams:
+            fit_nhpp_drift(times, T)
+        routes = set()
+        # the drift intercept can stop short of its floor on a flat direction
+        for seen, tol in ((seen_hawkes, 1e-9), (seen_drift, 1e-6)):
+            for fun, x0, bounds in seen:
+                new = _optim.maximize(fun, x0, bounds=bounds)
+                old_value = simplex_fallback_maximize(fun, x0, bounds=bounds)[1]
+                assert new.value >= old_value - tol
+                grad_max = float(np.max(np.abs(fun(new.x, True)[1])))
+                assert new.grad_max == grad_max
+                assert new.converged == (grad_max < _optim.GRAD_TOL)
+                routes.add(new.route)
+        assert routes == {"lbfgsb", "lbfgsb+newton", "lbfgsb+simplex"}
 
 
 class TestFitRecord:
@@ -350,3 +432,8 @@ class TestFitRecord:
         for fit in fits:
             record = json.loads(json.dumps(fit_result_to_dict(fit)))
             assert fit_result_from_dict(record) == fit
+            optimized = fit.model in ("hawkes", "nhpp_drift")
+            assert ("optimizer" in record) == ("grad_max" in record) == optimized
+            if optimized:
+                assert record["optimizer"] == fit.optimizer
+                assert record["grad_max"] == fit.grad_max

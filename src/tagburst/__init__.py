@@ -7,20 +7,18 @@ and ARIMA baselines by aic, forecast held-out counts, and attribute
 activity to self-reinforcement, popularity, and exogenous factors.
 """
 
-from .attribution import (AttributionReport, attribution_report, exo_score,
-                          pop_score, self_score, triggering_probability)
-from .baselines import (ArimaLiteParams, DriftParams, fit_arima_lite,
-                        fit_global_hawkes, fit_nhpp_drift, fit_pc_nhpp, fit_poisson,
-                        forecast_arima)
-from .forecast import (EvaluationTable, ForecastResult, SplitSpec, conditional_mean_count,
-                       default_split, evaluate_all, expected_count,
-                       holdout_log_likelihood, split_stream)
+from .attribution import (AttributionReport, attribution_report, pop_score, self_score,
+                          triggering_probability)
+from .baselines import (ArimaLiteParams, fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp,
+                        fit_poisson, forecast_arima)
+from .forecast import (EvaluationTable, SplitSpec, conditional_mean_count, default_split,
+                       evaluate_all, expected_count, holdout_log_likelihood, split_stream)
 from .hawkes import (FitResult, HawkesParams, compensator, fit_mle, intensity_at,
                      log_likelihood, log_likelihood_gradient, rescaled_residuals)
 from .ingest import (Event, EventStream, ParseError, parse_events, validate_stream,
                      write_events)
 from .simulate import (ClusterSpec, PopularityModel, SimConfig, make_synthetic_corpus,
-                       simulate_hawkes, simulate_nhpp)
+                       simulate_hawkes)
 from .taggraph import (GenreCluster, TagGraph, assign_videos, build_affinity_graph,
                        connected_components, extract_clusters, prune_graph)
 

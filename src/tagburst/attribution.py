@@ -28,7 +28,6 @@ __all__ = [
     "triggering_probability",
     "self_score",
     "pop_score",
-    "exo_score",
     "attribution_report",
 ]
 
@@ -158,14 +157,6 @@ def pop_score(cluster: GenreCluster, p: HawkesParams, w_comments: float = 1.0,
     psi = _psi_values(events, w_comments)
     thresholds = _prior_thresholds(events, _prior_means(ref.events, w_comments, causal))
     return _shares(cluster, p, None, psi, thresholds)[1]
-
-
-def exo_score(s_self: float, s_pop: float) -> float:
-    """Remainder share; may be negative when the other two overlap."""
-    for name, v in (("s_self", s_self), ("s_pop", s_pop)):
-        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return 1.0 - (s_self + s_pop)
 
 
 @dataclass(frozen=True)

@@ -8,25 +8,20 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from ._optim import MAX_ITER, lazy_minimize, maximize
-from .hawkes import FitResult, _check_times, fit_mle, make_fit_result
-from .taggraph import GenreCluster
+from .hawkes import FitResult, _check_times, make_fit_result
 
 __all__ = [
-    "DriftParams",
     "ArimaLiteParams",
     "fit_poisson",
     "fit_pc_nhpp",
     "fit_nhpp_drift",
-    "drift_log_likelihood",
-    "drift_log_likelihood_gradient",
-    "fit_global_hawkes",
     "fit_arima_lite",
     "forecast_arima",
 ]
@@ -74,32 +69,20 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
         ll, int(rates.size), True, 0)
 
 
-@dataclass(frozen=True)
-class DriftParams:
-    """Linear rate lam(t) = mu_slope * t + b_intercept, positive on the window."""
-
-    mu_slope: float
-    b_intercept: float
-
-
-def drift_log_likelihood(p: DriftParams, times: Sequence[float], T: float) -> float:
-    times = _check_times(times, T)
-    if p.b_intercept <= 0 or p.mu_slope * T + p.b_intercept <= 0:
-        raise ValueError("rate must stay positive at both window endpoints")
-    lam = p.mu_slope * times + p.b_intercept
-    return float(np.sum(np.log(lam)) - (0.5 * p.mu_slope * T * T + p.b_intercept * T))
-
-
-def drift_log_likelihood_gradient(p: DriftParams, times: Sequence[float],
-                                  T: float) -> np.ndarray:
-    """Analytic gradient wrt (mu_slope, b_intercept)."""
-    times = _check_times(times, T)
-    if p.b_intercept <= 0 or p.mu_slope * T + p.b_intercept <= 0:
-        raise ValueError("rate must stay positive at both window endpoints")
-    lam = p.mu_slope * times + p.b_intercept
+def _drift_objective(x: np.ndarray, tau: np.ndarray, T: float,
+                     grad: bool) -> tuple[float, np.ndarray] | float:
+    """The drift fit objective: x holds the logs of the rate at 0 and at T,
+    tau the event times over T; (-ll, -gradient wrt x), or -ll alone when
+    not grad."""
+    b, r = np.exp(x)
+    lam = b + (r - b) * tau
+    ll = float(np.sum(np.log(lam))) - 0.5 * T * (b + r)
+    if not grad:
+        return -ll
     inv = 1.0 / lam
-    return np.array([float(np.sum(times * inv)) - 0.5 * T * T,
-                     float(np.sum(inv)) - T])
+    d_b = float(np.sum((1.0 - tau) * inv)) - 0.5 * T
+    d_r = float(np.sum(tau * inv)) - 0.5 * T
+    return -ll, -np.array([d_b * b, d_r * r])
 
 
 def fit_nhpp_drift(times: Sequence[float], T: float) -> FitResult:
@@ -114,35 +97,14 @@ def fit_nhpp_drift(times: Sequence[float], T: float) -> FitResult:
     if n < 2:
         raise ValueError(f"drift fit needs at least 2 events, got {n}")
     tau = times / T
-
-    def neg_and_grad(x: np.ndarray, grad: bool) -> tuple[float, np.ndarray] | float:
-        b, r = np.exp(x)
-        lam = b + (r - b) * tau
-        ll = float(np.sum(np.log(lam))) - 0.5 * T * (b + r)
-        if not grad:
-            return -ll
-        inv = 1.0 / lam
-        d_b = float(np.sum((1.0 - tau) * inv)) - 0.5 * T
-        d_r = float(np.sum(tau * inv)) - 0.5 * T
-        return -ll, -np.array([d_b * b, d_r * r])
-
     x0 = np.log([n / T, n / T])
-    res = maximize(neg_and_grad, x0, bounds=[(-60.0, 60.0), (-60.0, 60.0)])
+    res = maximize(lambda v, grad: _drift_objective(v, tau, T, grad), x0,
+                   bounds=[(-60.0, 60.0), (-60.0, 60.0)])
     b, r = np.exp(res.x)
     slope = (r - b) / T
     return make_fit_result(
         "nhpp_drift", {"mu_slope": float(slope), "b_intercept": float(b)},
         res.value, 2, res.converged, res.n_iter, optimizer=res.route, grad_max=res.grad_max)
-
-
-def fit_global_hawkes(clusters: Sequence[GenreCluster]) -> FitResult:
-    """Single self-exciting fit on all clusters' events pooled together."""
-    if not clusters:
-        raise ValueError("need at least one cluster to pool")
-    times = np.sort(np.concatenate([c.events.times for c in clusters]))
-    T = max(c.events.horizon_T for c in clusters)
-    fit = fit_mle(times, T)
-    return replace(fit, model="hawkes_global")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ stages can be rerun in place and identical inputs yield identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -62,11 +63,30 @@ def _require_artifact(path: Path, produced_by: str) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _artifact_errors(path: Path, produced_by: str):
+    """Turn invalid JSON, or a missing or mistyped field read from the
+    artifact at path, into a one-line error naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}; rerun 'tagburst {produced_by}'") \
+            from None
+    except (TypeError, ValueError) as exc:  # ValueError includes json.JSONDecodeError
+        raise ValueError(f"{path}: malformed ({exc}); rerun 'tagburst {produced_by}'") \
+            from None
+
+
+def _load_artifact(path: Path, produced_by: str) -> object:
+    with _artifact_errors(path, produced_by):
+        return json.loads(_require_artifact(path, produced_by).read_text())
+
+
 def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     """Rebuild GenreClusters from the input events plus the cluster artifacts."""
     out = Path(args.out)
     stream = parse_events(args.input, format=args.format)
-    meta = json.loads(_require_artifact(out / "clusters.json", "cluster").read_text())
+    meta = _load_artifact(out / "clusters.json", "cluster")
     assign_path = _require_artifact(out / "assignments.csv", "cluster")
     with assign_path.open(newline="", encoding="utf-8") as fh:
         assignment = {row["video_id"]: int(row["cluster_id"])
@@ -76,7 +96,8 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
         if e.video_id not in assignment:
             raise ValueError(f"assignments.csv lacks video {e.video_id!r}; rerun 'tagburst cluster'")
         members.setdefault(assignment[e.video_id], []).append(e)
-    tags = {c["cluster_id"]: frozenset(c["tags"]) for c in meta["clusters"]}
+    with _artifact_errors(out / "clusters.json", "cluster"):
+        tags = {c["cluster_id"]: frozenset(c["tags"]) for c in meta["clusters"]}
     clusters = [
         GenreCluster(cluster_id=cid, tags=tags.get(cid, frozenset()),
                      events=type(stream)(stream.origin, tuple(evs), stream.horizon_T))
@@ -200,10 +221,11 @@ def _factor_rows(records: Sequence[dict]) -> list[list]:
 
 def cmd_attribute(args) -> int:
     out = Path(args.out)
-    fits_doc = json.loads(_require_artifact(out / "fits.json", "fit").read_text())
+    fits_doc = _load_artifact(out / "fits.json", "fit")
     _, clusters, _ = _load_clusters(args)
-    fits = {entry["cluster_id"]: fit_result_from_dict(entry["hawkes"])
-            for entry in fits_doc["clusters"] if "error" not in entry["hawkes"]}
+    with _artifact_errors(out / "fits.json", "fit"):
+        fits = {entry["cluster_id"]: fit_result_from_dict(entry["hawkes"])
+                for entry in fits_doc["clusters"] if "error" not in entry["hawkes"]}
     missing = [c.cluster_id for c in clusters if c.cluster_id not in fits]
     clusters = [c for c in clusters if c.cluster_id in fits]
     reports = attribution.attribution_report(
@@ -231,25 +253,26 @@ def cmd_attribute(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    clusters_doc = json.loads(_require_artifact(out / "clusters.json", "cluster").read_text())
-    fits_doc = json.loads(_require_artifact(out / "fits.json", "fit").read_text())
-    forecast_doc = json.loads(_require_artifact(out / "forecast.json", "forecast").read_text())
-    attribution_doc = json.loads(
-        _require_artifact(out / "attribution.json", "attribute").read_text())
+    clusters_doc = _load_artifact(out / "clusters.json", "cluster")
+    fits_doc = _load_artifact(out / "fits.json", "fit")
+    forecast_doc = _load_artifact(out / "forecast.json", "forecast")
+    attribution_doc = _load_artifact(out / "attribution.json", "attribute")
     _, clusters, _ = _load_clusters(args)
 
     aic_rows = []
-    for entry in fits_doc["clusters"]:
-        h, po = entry["hawkes"], entry["poisson"]
-        if "error" in h or "error" in po:
-            continue
-        aic_rows.append([entry["cluster_id"], repr(h["aic"]), repr(po["aic"]),
-                         repr(h["aic"] - po["aic"])])
+    with _artifact_errors(out / "fits.json", "fit"):
+        for entry in fits_doc["clusters"]:
+            h, po = entry["hawkes"], entry["poisson"]
+            if "error" in h or "error" in po:
+                continue
+            aic_rows.append([entry["cluster_id"], repr(h["aic"]), repr(po["aic"]),
+                             repr(h["aic"] - po["aic"])])
     _write_csv(out / "aic_diff.csv",
                ["cluster_id", "aic_hawkes", "aic_poisson", "aic_diff"], aic_rows)
 
-    _write_csv(out / "factors.csv", ["cluster_id", "factor", "value"],
-               _factor_rows(attribution_doc["clusters"]))
+    with _artifact_errors(out / "attribution.json", "attribute"):
+        factor_rows = _factor_rows(attribution_doc["clusters"])
+    _write_csv(out / "factors.csv", ["cluster_id", "factor", "value"], factor_rows)
 
     weekly_rows = []
     for c in clusters:

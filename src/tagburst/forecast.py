@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .taggraph import GenreCluster
 
 __all__ = [
     "SplitSpec",
-    "ForecastResult",
     "EvalRow",
     "EvaluationTable",
     "default_split",
@@ -70,12 +69,9 @@ def default_split(horizon_T: float, train_days: float,
                      horizon_days=horizon_days)
 
 
-def split_stream(times: Sequence[float], spec: SplitSpec,
-                 horizon_T: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def split_stream(times: Sequence[float], spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
     """Return (train, test) event times; events before the training window are
     dropped.  An empty training window is an error."""
-    if horizon_T is not None:
-        spec.check_horizon(horizon_T)
     times = np.asarray(times, dtype=float)
     lo = spec.split_point - spec.train_days
     train = times[(times >= lo) & (times <= spec.split_point)]
@@ -142,21 +138,12 @@ def holdout_log_likelihood(p: HawkesParams, history: Sequence[float],
     return point_part - (compensator(p, merged, t_end) - compensator(p, history, t_start))
 
 
-@dataclass(frozen=True)
-class ForecastResult:
-    model: str
-    predicted_count: float
-    actual_count: int
-    abs_error: float
-    rel_error: float
-
-
-def make_forecast_result(model: str, predicted: float, actual: int) -> ForecastResult:
+def _scored(predicted: float, actual: int) -> tuple[float, float, float]:
+    """The prediction clipped at zero, its absolute error, and that error
+    relative to max(actual, 1)."""
     predicted = max(float(predicted), 0.0)
     abs_error = abs(predicted - actual)
-    return ForecastResult(model=model, predicted_count=predicted,
-                          actual_count=int(actual), abs_error=abs_error,
-                          rel_error=abs_error / max(actual, 1))
+    return predicted, abs_error, abs_error / max(actual, 1)
 
 
 @dataclass(frozen=True)
@@ -173,6 +160,8 @@ class EvalRow:
     rel_error: float | None
     status: str = "ok"
     note: str = ""
+    optimizer: str | None = None  # the fit's _optim.maximize route, for fits that take one
+    grad_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -280,18 +269,20 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
                 rows.append(EvalRow(**base, loglik=exc.fit.log_likelihood,
                                     aic=exc.fit.aic, predicted=None, abs_error=None,
                                     rel_error=None, status="refused",
-                                    note="refused: supercritical"))
+                                    note="refused: supercritical",
+                                    optimizer=exc.fit.optimizer, grad_max=exc.fit.grad_max))
                 continue
             except Exception as exc:  # isolate per-model failures
                 rows.append(EvalRow(**base, loglik=None, aic=None, predicted=None,
                                     abs_error=None, rel_error=None, status="failed",
                                     note=str(exc)))
                 continue
-            fr = make_forecast_result(model, predicted, actual)
+            predicted, abs_error, rel_error = _scored(predicted, actual)
             rows.append(EvalRow(**base, loglik=fit.log_likelihood, aic=fit.aic,
-                                predicted=fr.predicted_count, abs_error=fr.abs_error,
-                                rel_error=fr.rel_error,
-                                note="" if fit.converged else "fit did not converge"))
+                                predicted=predicted, abs_error=abs_error,
+                                rel_error=rel_error,
+                                note="" if fit.converged else "fit did not converge",
+                                optimizer=fit.optimizer, grad_max=fit.grad_max))
 
     per_cluster = [m for m in model_list if m != "hawkes_global"]
     if per_cluster:

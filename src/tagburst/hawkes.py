@@ -217,13 +217,6 @@ def compensator(p: HawkesParams, times: Sequence[float], t: float) -> float:
     return float(p.mu * t + (p.beta / p.omega) * np.sum(-np.expm1(-p.omega * (t - past))))
 
 
-def log_likelihood(p: HawkesParams, times: Sequence[float], T: float) -> float:
-    """Exact log-likelihood of the event times over [0, T] in O(n)."""
-    times = _check_times(times, T)
-    lam = p.mu + p.beta * decay_sums(times, p.omega)
-    return float(np.sum(np.log(lam)) - compensator(p, times, T))
-
-
 def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
                      T: float, grad: bool) -> tuple[float, np.ndarray] | float:
     """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega);
@@ -244,6 +237,13 @@ def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
     return ll, np.array([d_mu, d_beta, d_omega])
 
 
+def log_likelihood(p: HawkesParams, times: Sequence[float], T: float) -> float:
+    """Exact log-likelihood of the event times over [0, T] in O(n): the
+    value fit_mle maximizes."""
+    times = _check_times(times, T)
+    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T, grad=False)
+
+
 def log_likelihood_gradient(p: HawkesParams, times: Sequence[float], T: float) -> np.ndarray:
     """Analytic gradient of the log-likelihood wrt (mu, beta, omega)."""
     times = _check_times(times, T)
@@ -261,7 +261,7 @@ def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float,
     return -ll, -g * theta
 
 
-def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) -> FitResult:
+def fit_mle(times: Sequence[float], T: float) -> FitResult:
     """Maximum-likelihood fit of (mu, beta, omega) on event times in [0, T].
 
     Ascends in log space with analytic gradients (see _optim for the Newton
@@ -275,11 +275,9 @@ def fit_mle(times: Sequence[float], T: float, init: HawkesParams | None = None) 
     if times[-1] == times[0]:
         raise ValueError("degenerate stream: all event times identical")
 
-    if init is None:
-        mean_gap = (times[-1] - times[0]) / (n - 1)
-        omega0 = 1.0 / mean_gap
-        init = HawkesParams(mu=0.5 * n / T, beta=0.5 * omega0, omega=omega0)
-    x0 = np.log([init.mu, max(init.beta, BETA_FLOOR), init.omega])
+    mean_gap = (times[-1] - times[0]) / (n - 1)
+    omega0 = 1.0 / mean_gap
+    x0 = np.log([0.5 * n / T, max(0.5 * omega0, BETA_FLOOR), omega0])
     bounds = [(-60.0, 60.0), (math.log(BETA_FLOOR), 60.0), (-60.0, 60.0)]
 
     res = maximize(lambda v, grad: _neg_ll_and_grad(v, times, T, grad), x0, bounds=bounds)

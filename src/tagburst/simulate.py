@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "PopularityModel",
     "ClusterSpec",
     "simulate_hawkes",
-    "simulate_nhpp",
     "make_synthetic_corpus",
     "default_corpus_spec",
     "derive_seed",
@@ -86,35 +85,6 @@ def simulate_hawkes(p: HawkesParams, c: SimConfig) -> np.ndarray:
         if rng.random() * lam_bar <= p.mu + excitation:
             out.append(t)
             excitation += p.beta
-    return np.asarray(out)
-
-
-def simulate_nhpp(rate_fn: Callable[[float], float], rate_bound: float,
-                  c: SimConfig) -> np.ndarray:
-    """Draw events from an inhomogeneous Poisson process by thinning.
-
-    rate_fn must stay within [0, rate_bound] on the window; a proposal where
-    it does not is an error.  The conditioning history is irrelevant for a
-    Poisson process and is ignored.
-    """
-    if not math.isfinite(rate_bound) or rate_bound < 0:
-        raise ValueError(f"rate_bound must be finite and >= 0, got {rate_bound}")
-    if rate_bound == 0.0:
-        return np.asarray([])
-    rng = _generator(c.seed)
-    out: list[float] = []
-    t = c.t_start
-    while True:
-        t += rng.exponential() / rate_bound
-        if t > c.t_end:
-            break
-        r = float(rate_fn(t))
-        if r < 0:
-            raise ValueError(f"rate_fn({t}) = {r} is negative")
-        if r > rate_bound:
-            raise ValueError(f"rate_fn({t}) = {r} exceeds the bound {rate_bound}")
-        if rng.random() * rate_bound <= r:
-            out.append(t)
     return np.asarray(out)
 
 

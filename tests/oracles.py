@@ -34,6 +34,15 @@ def direct_log_likelihood(mu, beta, omega, times, T):
     return ll - direct_compensator(mu, beta, omega, times, T)
 
 
+def drift_log_likelihood(slope, intercept, times, T):
+    """Linear-rate Poisson log-likelihood in the slope/intercept form
+    lam(t) = slope * t + intercept, which must be positive on [0, T]."""
+    if intercept <= 0 or slope * T + intercept <= 0:
+        raise ValueError("rate must stay positive at both window endpoints")
+    lam = slope * np.asarray(times, dtype=float) + intercept
+    return float(np.sum(np.log(lam))) - (0.5 * slope * T * T + intercept * T)
+
+
 def central_difference(f, x, h):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)

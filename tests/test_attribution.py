@@ -1,14 +1,11 @@
 """Triggering probabilities and the three-way activity decomposition."""
 
-import math
-
 import numpy as np
 import pytest
 
 from oracles import brute_attribution
-from tagburst.attribution import (AttributionReport, attribution_report,
-                                  exo_score, pop_score, self_score,
-                                  triggering_probability)
+from tagburst.attribution import (AttributionReport, attribution_report, pop_score,
+                                  self_score, triggering_probability)
 from tagburst.hawkes import HawkesParams, fit_mle, make_fit_result
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
@@ -168,25 +165,18 @@ class TestPopScore:
 
 
 class TestExoScore:
-    def test_complement(self):
-        assert exo_score(0.25, 0.5) == 0.25
+    """The exogenous share is the report's remainder 1 - (s_self + s_pop)."""
 
     def test_sum_is_exactly_one(self):
         rng = np.random.default_rng(17)
+        fit = make_fit_result("hawkes", {"mu": P.mu, "beta": P.beta, "omega": P.omega},
+                              -1.0, 3, True, 5)
         for _ in range(200):
-            s_self = float(rng.uniform(0, 1))
-            s_pop = float(rng.uniform(0, 1))
-            assert s_self + s_pop + exo_score(s_self, s_pop) == 1.0
-
-    def test_can_go_negative_on_overlap(self):
-        assert exo_score(0.9, 0.9) == pytest.approx(-0.8)
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, math.inf])
-    def test_inputs_outside_unit_interval_rejected(self, bad):
-        with pytest.raises(ValueError):
-            exo_score(bad, 0.5)
-        with pytest.raises(ValueError):
-            exo_score(0.5, bad)
+            c = random_cluster(rng, int(rng.integers(2, 25)))
+            [r] = attribution_report([c], {0: fit})
+            assert r.attributable
+            assert r.s_exo == 1.0 - (r.s_self + r.s_pop)
+            assert r.s_self + r.s_pop + r.s_exo == 1.0
 
 
 def fits_for(clusters):

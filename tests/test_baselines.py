@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference, loop_css_residuals
-from tagburst.baselines import (ArimaLiteParams, DriftParams, _css_residuals,
-                                drift_log_likelihood,
-                                drift_log_likelihood_gradient, fit_arima_lite,
-                                fit_global_hawkes, fit_nhpp_drift, fit_pc_nhpp,
-                                fit_poisson, forecast_arima)
+from mc_reference import simulate_nhpp
+from oracles import central_difference, drift_log_likelihood, loop_css_residuals
+from tagburst.baselines import (ArimaLiteParams, _css_residuals, _drift_objective,
+                                fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson,
+                                forecast_arima)
+from tagburst.forecast import (POOLED_CLUSTER_ID, conditional_mean_count, default_split,
+                               evaluate_all)
 from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood
-from tagburst.simulate import SimConfig, simulate_hawkes, simulate_nhpp
+from tagburst.simulate import SimConfig, simulate_hawkes
 from tagburst.taggraph import extract_clusters
 from tagburst.ingest import Event, EventStream
 
@@ -92,32 +93,35 @@ class TestPiecewiseConstant:
             fit_pc_nhpp([1.0], 10.0, bin_width=bw)
 
 
+def drift_x(slope, intercept, T):
+    """The drift objective's point for lam(t) = slope * t + intercept on [0, T]."""
+    return np.log([intercept, slope * T + intercept])
+
+
 class TestDrift:
-    P = DriftParams(mu_slope=0.2, b_intercept=1.0)
+    SLOPE, INTERCEPT = 0.2, 1.0
 
     def test_likelihood_matches_quadrature(self):
-        times = [0.5, 2.0, 3.5]
+        # the fit's objective and the slope/intercept oracle against the integral
+        times = np.array([0.5, 2.0, 3.5])
         T = 4.0
         grid = np.linspace(0, T, 200001)
-        integral = np.trapezoid(self.P.mu_slope * grid + self.P.b_intercept, grid)
-        expected = sum(math.log(self.P.mu_slope * t + self.P.b_intercept)
-                       for t in times) - integral
-        assert drift_log_likelihood(self.P, times, T) == pytest.approx(expected, rel=1e-9)
+        integral = np.trapezoid(self.SLOPE * grid + self.INTERCEPT, grid)
+        expected = sum(math.log(self.SLOPE * t + self.INTERCEPT) for t in times) - integral
+        assert drift_log_likelihood(self.SLOPE, self.INTERCEPT, times, T) == \
+            pytest.approx(expected, rel=1e-9)
+        x = drift_x(self.SLOPE, self.INTERCEPT, T)
+        assert -_drift_objective(x, times / T, T, False) == pytest.approx(expected, rel=1e-9)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(31)
         times = np.sort(rng.uniform(0, 10, size=40))
-        grad = drift_log_likelihood_gradient(self.P, times, 10.0)
-        num = central_difference(
-            lambda v: drift_log_likelihood(DriftParams(*v), times, 10.0),
-            [self.P.mu_slope, self.P.b_intercept], h=1e-6)
+        x = drift_x(self.SLOPE, self.INTERCEPT, 10.0)
+        value, grad = _drift_objective(x, times / 10.0, 10.0, True)
+        assert value == _drift_objective(x, times / 10.0, 10.0, False)
+        num = central_difference(lambda v: _drift_objective(v, times / 10.0, 10.0, False),
+                                 x, h=1e-6)
         np.testing.assert_allclose(grad, num, rtol=1e-6)
-
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            drift_log_likelihood(DriftParams(0.0, -1.0), [1.0], 2.0)
-        with pytest.raises(ValueError):
-            drift_log_likelihood(DriftParams(-1.0, 1.0), [1.0], 2.0)
 
     def test_fit_needs_two_events(self):
         with pytest.raises(ValueError):
@@ -147,6 +151,7 @@ class TestDrift:
 
 class TestGlobalPooled:
     def test_pools_all_clusters(self):
+        # evaluate_all's hawkes_global row is fit_mle on the pooled training window
         tagged = []
         t_by_cluster = {
             "a": simulate_hawkes(HawkesParams(0.5, 0.4, 1.0),
@@ -163,15 +168,19 @@ class TestGlobalPooled:
         events.sort(key=lambda e: (e.upload_time, e.video_id))
         stream = EventStream(origin=0.0, events=tuple(events), horizon_T=200.0)
         clusters = extract_clusters(stream, 1)
-        pooled = fit_global_hawkes(clusters)
-        direct = fit_mle(np.sort(np.concatenate(list(t_by_cluster.values()))), 200.0)
-        assert pooled.model == "hawkes_global"
-        assert pooled.log_likelihood == direct.log_likelihood
-        assert pooled.params == direct.params
-
-    def test_empty_cluster_list_rejected(self):
-        with pytest.raises(ValueError):
-            fit_global_hawkes([])
+        assert len(clusters) == 2
+        table = evaluate_all(clusters, default_split(200.0, train_days=186.0),
+                             ["hawkes_global"])
+        [row] = table.rows
+        train = np.sort(np.concatenate(list(t_by_cluster.values())))
+        train = train[train <= 186.0]
+        direct = fit_mle(train, 186.0)
+        assert (row.cluster_id, row.model, row.status) == \
+            (POOLED_CLUSTER_ID, "hawkes_global", "ok")
+        assert row.loglik == direct.log_likelihood and row.aic == direct.aic
+        assert row.predicted == conditional_mean_count(
+            HawkesParams(**direct.params), train, 186.0, 14.0)
+        assert (row.optimizer, row.grad_max) == (direct.optimizer, direct.grad_max)
 
 
 class TestCssResiduals:

@@ -5,7 +5,13 @@ import json
 
 import pytest
 
+from oracles import drift_log_likelihood
+from tagburst.baselines import fit_nhpp_drift
 from tagburst.cli import main
+from tagburst.forecast import default_split, split_stream
+from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood
+from tagburst.ingest import parse_events
+from tagburst.taggraph import extract_clusters
 
 
 def run(*argv):
@@ -146,6 +152,33 @@ class TestFit:
         assert (corpus / "fits.json").read_bytes() == first
 
 
+    def test_reported_loglik_is_the_public_likelihood(self, tmp_path):
+        # the README corpus: every fit, on the full stream and on the forecast window
+        out = tmp_path / "readme"
+        run("simulate", "--out", str(out), "--seed", "0", "--t-days", "120")
+        fitted(out)
+        stream = parse_events(out / "events.jsonl")
+        clusters = extract_clusters(stream, 2)
+        entries = read_json(out / "fits.json")["clusters"]
+        assert [e["cluster_id"] for e in entries] == [c.cluster_id for c in clusters]
+        spec = default_split(stream.horizon_T, 60.0)
+        offset = spec.split_point - spec.train_days
+        for c, entry in zip(clusters, entries):
+            train = split_stream(c.events.times, spec)[0] - offset
+            for times, T in ((c.events.times, c.events.horizon_T), (train, spec.train_days)):
+                hawkes = fit_mle(times, T)
+                assert hawkes.log_likelihood == log_likelihood(
+                    HawkesParams(**hawkes.params), times, T)
+                drift = fit_nhpp_drift(times, T)
+                assert drift.log_likelihood == pytest.approx(drift_log_likelihood(
+                    drift.params["mu_slope"], drift.params["b_intercept"], times, T),
+                    rel=1e-12)
+            h = entry["hawkes"]
+            assert h["loglik"] == log_likelihood(
+                HawkesParams(h["mu"], h["beta"], h["omega"]), c.events.times,
+                c.events.horizon_T)
+
+
 class TestForecast:
     def test_requires_fits(self, corpus, capsys):
         clustered(corpus)
@@ -166,6 +199,13 @@ class TestForecast:
         rows = read_csv(corpus / "forecast.csv")
         assert len(rows) == len(doc["rows"])
         assert {r["cluster_id"] for r in rows} == {"0", "1", "2"}
+        # the fit's route goes to the JSON rows only, null where no maximizer ran
+        for r in doc["rows"]:
+            optimized = r["model"] in ("hawkes", "nhpp_drift")
+            assert (r["optimizer"] is not None) == (r["grad_max"] is not None) == optimized
+        assert list(rows[0]) == ["cluster_id", "model", "train_days", "horizon_days",
+                                 "loglik", "aic", "predicted", "actual", "abs_error",
+                                 "rel_error", "status", "note"]
 
     def test_unknown_model_fails_cleanly(self, corpus, capsys):
         fitted(corpus)
@@ -245,6 +285,48 @@ class TestReport:
         total = sum(int(r["count"]) for r in rows)
         n_events = sum(1 for _ in (corpus / "events.jsonl").open())
         assert total == n_events
+
+
+def drop(*keys):
+    """An edit of a parsed artifact that deletes the field at the key path."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("stage, artifact, edit, fragment", [
+        ("attribute", "clusters.json", drop("clusters"), "missing field 'clusters'"),
+        ("attribute", "fits.json", drop("clusters", 0, "hawkes", "model"),
+         "missing field 'model'"),
+        ("fit", "clusters.json", lambda doc: doc.update(clusters=3), "malformed"),
+        ("report", "attribution.json", drop("clusters"), "missing field 'clusters'"),
+        ("attribute", "fits.json", None, "malformed (Expecting"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][0]["hawkes"].update(loglik="x"), "malformed"),
+    ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
+            "attribution-without-clusters", "fits-not-json", "loglik-not-a-number"])
+    def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
+                                           fragment):
+        events = str(corpus / "events.jsonl")
+        fitted(corpus)
+        run("forecast", "--input", events, "--out", str(corpus), "--train-days", "60",
+            "--models", "poisson")
+        run("attribute", "--input", events, "--out", str(corpus))
+        path = corpus / artifact
+        if edit is None:
+            path.write_text("{")
+        else:
+            doc = read_json(path)
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(stage, "--input", events, "--out", str(corpus)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and fragment in err
+        assert err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -11,8 +11,7 @@ from oracles import direct_compensator, direct_intensity, expected_count_by_quad
 from tagburst import baselines
 from tagburst.forecast import (POOLED_CLUSTER_ID, SplitSpec, conditional_mean_count,
                                default_split, evaluate_all, expected_count,
-                               holdout_log_likelihood, make_forecast_result,
-                               split_stream)
+                               _scored, holdout_log_likelihood, split_stream)
 from tagburst.hawkes import HawkesParams, fit_mle
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
@@ -59,8 +58,10 @@ class TestSplitSpec:
         spec = SplitSpec(10.0, 95.0, 14.0)
         with pytest.raises(ValueError, match="beyond"):
             spec.check_horizon(100.0)
-        with pytest.raises(ValueError):
-            split_stream(np.array([90.0]), spec, horizon_T=100.0)
+        event = Event("v0", 90.0, "u", frozenset({"x"}), 0, 0)
+        cluster = GenreCluster(0, frozenset({"x"}), EventStream(0.0, (event,), 100.0))
+        with pytest.raises(ValueError, match="beyond"):
+            evaluate_all([cluster], spec, ["poisson"])
 
     def test_default_split_ends_at_horizon(self):
         spec = default_split(100.0, train_days=30.0, horizon_days=14.0)
@@ -185,15 +186,11 @@ class TestHoldout:
 
 class TestForecastResult:
     def test_negative_prediction_clamped(self):
-        fr = make_forecast_result("m", -3.0, 2)
-        assert fr.predicted_count == 0.0
-        assert fr.abs_error == 2.0
+        assert _scored(-3.0, 2) == (0.0, 2.0, 1.0)
 
     def test_relative_error_guards_zero_actual(self):
-        fr = make_forecast_result("m", 5.0, 0)
-        assert fr.rel_error == 5.0
-        fr2 = make_forecast_result("m", 5.0, 10)
-        assert fr2.rel_error == 0.5
+        assert _scored(5.0, 0) == (5.0, 5.0, 5.0)
+        assert _scored(5.0, 10) == (5.0, 5.0, 0.5)
 
 
 def corpus_clusters(T=150.0, seed=3):
@@ -232,6 +229,23 @@ class TestEvaluateAll:
             fit = fit_mle(train, spec.train_days)
             assert row.predicted == conditional_mean_count(
                 HawkesParams(**fit.params), train, spec.train_days, spec.horizon_days)
+
+    def test_rows_carry_the_fits_optimizer_route(self):
+        clusters = corpus_clusters()
+        spec = default_split(150.0, train_days=60.0)
+        table = evaluate_all(clusters, spec, ["hawkes", "nhpp_drift", "pc_nhpp", "poisson"])
+        offset = spec.split_point - spec.train_days
+        for c in clusters:
+            train = split_stream(c.events.times, spec)[0] - offset
+            fits = {"hawkes": fit_mle(train, spec.train_days),
+                    "nhpp_drift": baselines.fit_nhpp_drift(train, spec.train_days)}
+            for row in (r for r in table.rows if r.cluster_id == c.cluster_id):
+                fit = fits.get(row.model)
+                if fit is None:  # closed-form fits never call the maximizer
+                    assert row.optimizer is None and row.grad_max is None
+                else:
+                    assert row.optimizer is not None
+                    assert (row.optimizer, row.grad_max) == (fit.optimizer, fit.grad_max)
 
     def test_unconverged_fit_noted_on_its_ok_row(self, monkeypatch):
         clusters = corpus_clusters()
@@ -288,6 +302,7 @@ class TestEvaluateAll:
         assert status == {"hawkes": "failed", "poisson": "ok"}
         failed = next(r for r in table.rows if r.model == "hawkes")
         assert failed.predicted is None and failed.aic is None
+        assert failed.optimizer is None and failed.grad_max is None
         assert failed.note
 
     def test_supercritical_fit_refused_not_failed(self):
@@ -301,6 +316,8 @@ class TestEvaluateAll:
         assert row.status == "refused"
         assert "supercritical" in row.note
         assert row.loglik is not None and row.predicted is None
+        fit = fit_mle(times[times <= 30.0], 30.0)
+        assert (row.optimizer, row.grad_max) == (fit.optimizer, fit.grad_max)
 
     def test_cluster_without_training_events_excluded(self):
         times = np.array([65.0, 66.0, 70.0])

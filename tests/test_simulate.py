@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from mc_reference import simulate_nhpp
 from tagburst.hawkes import HawkesParams, fit_mle
 from tagburst.ingest import validate_stream
 from tagburst.simulate import (ClusterSpec, PopularityModel, SimConfig,
                                SYNTH_ORIGIN, default_corpus_spec, derive_seed,
-                               make_synthetic_corpus, simulate_hawkes,
-                               simulate_nhpp)
+                               make_synthetic_corpus, simulate_hawkes)
 
 SUB = HawkesParams(mu=1.0, beta=0.5, omega=1.5)
 
@@ -87,6 +87,8 @@ class TestHawkesSimulation:
 
 
 class TestNHPPSimulation:
+    """The test-only sampler in mc_reference."""
+
     def test_zero_bound_yields_empty(self):
         t = simulate_nhpp(lambda t: 0.0, 0.0, SimConfig(seed=3, t_start=0.0, t_end=5.0))
         assert t.size == 0

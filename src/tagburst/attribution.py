@@ -176,15 +176,14 @@ def attribution_report(clusters: Sequence[GenreCluster],
                        w_comments: float = 1.0, *,
                        pop_scope: str = "platform",
                        causal: bool = True) -> list[AttributionReport]:
-    """Per-cluster decomposition.  Clusters whose fit has no endogenous mass
-    (or is effectively Poisson, or did not converge) are marked not
-    attributable instead of failing the whole report; a negative exogenous
-    share is flagged in the note, not renormalized."""
+    """Per-cluster decomposition.  Clusters without a fit in fits, or whose
+    fit has no endogenous mass (or is effectively Poisson, or did not
+    converge), are marked not attributable instead of failing the whole
+    report, and their uploads still count in the platform popularity
+    reference; a negative exogenous share is flagged in the note, not
+    renormalized."""
     if pop_scope not in ("platform", "cluster"):
         raise ValueError(f"pop_scope must be 'platform' or 'cluster', got {pop_scope!r}")
-    for c in clusters:
-        if c.cluster_id not in fits:
-            raise ValueError(f"missing fit for cluster {c.cluster_id}")
 
     platform_means = None
     if pop_scope == "platform":
@@ -194,7 +193,7 @@ def attribution_report(clusters: Sequence[GenreCluster],
 
     reports = []
     for c in clusters:
-        fit = fits[c.cluster_id]
+        fit = fits.get(c.cluster_id)
         events = c.events.events
         uploaders = [e.uploader_id for e in events]
         psi = _psi_values(events, w_comments)
@@ -202,6 +201,8 @@ def attribution_report(clusters: Sequence[GenreCluster],
             events, platform_means if platform_means is not None
             else _prior_means(events, w_comments, causal))
         try:
+            if fit is None:
+                raise ValueError("no usable fit")
             if not fit.converged:
                 raise ValueError("fit did not converge")
             if "effectively_poisson" in fit.warnings:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import attribution, baselines, forecast, simulate, taggraph
-from .hawkes import fit_mle, fit_result_from_dict, fit_result_to_dict
+from .hawkes import _params_from_fit, fit_mle, fit_result_from_dict, fit_result_to_dict
 from .ingest import ParseError, parse_events, write_events
 from .taggraph import GenreCluster
 
@@ -51,8 +51,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(rows)
     _atomic_write_text(path, buf.getvalue())
 
 
@@ -127,11 +126,9 @@ def cmd_cluster(args) -> int:
     if args.sweep is not None:
         lo, hi = args.sweep
         rows = taggraph.sweep_eta(stream, range(lo, hi + 1))
-        _write_csv(out / "eta_sweep.csv",
-                   ["eta", "n_components", "n_clusters", "min_events",
-                    "mean_events", "max_events"],
-                   [[r["eta"], r["n_components"], r["n_clusters"], r["min_events"],
-                     repr(r["mean_events"]), r["max_events"]] for r in rows])
+        header = ["eta", "n_components", "n_clusters", "min_events", "mean_events",
+                  "max_events"]
+        _write_csv(out / "eta_sweep.csv", header, [[r[k] for k in header] for r in rows])
         print(f"wrote {out / 'eta_sweep.csv'} ({len(rows)} thresholds)")
 
     if args.eta is not None:
@@ -178,20 +175,12 @@ def cmd_forecast(args) -> int:
         raise ValueError("forecast needs --train-days")
     spec = forecast.default_split(stream.horizon_T, args.train_days, args.horizon_days)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
-    table = forecast.evaluate_all(
-        clusters, spec, models, bin_width=args.bin_width,
-        aic_pairs=[("hawkes", "poisson")] if {"hawkes", "poisson"} <= set(models) else [])
+    table = forecast.evaluate_all(clusters, spec, models, bin_width=args.bin_width)
 
     header = ["cluster_id", "model", "train_days", "horizon_days", "loglik", "aic",
               "predicted", "actual", "abs_error", "rel_error", "status", "note"]
-    rows = [[r.cluster_id, r.model, repr(r.train_days), repr(r.horizon_days),
-             None if r.loglik is None else repr(r.loglik),
-             None if r.aic is None else repr(r.aic),
-             None if r.predicted is None else repr(r.predicted), r.actual,
-             None if r.abs_error is None else repr(r.abs_error),
-             None if r.rel_error is None else repr(r.rel_error), r.status, r.note]
-            for r in table.rows]
-    _write_csv(out / "forecast.csv", header, rows)
+    _write_csv(out / "forecast.csv", header,
+               [[getattr(r, k) for k in header] for r in table.rows])
     _write_json(out / "forecast.json", {
         "train_days": spec.train_days,
         "horizon_days": spec.horizon_days,
@@ -213,7 +202,7 @@ def cmd_forecast(args) -> int:
 
 def _factor_rows(records: Sequence[dict]) -> list[list]:
     """One (cluster_id, factor, value) row per share of each attributable record."""
-    return [[r["cluster_id"], factor, repr(float(r[key]))]
+    return [[r["cluster_id"], factor, r[key]]
             for r in records if r["attributable"]
             for factor, key in (("self", "s_self"), ("popularity", "s_pop"),
                                 ("exogenous", "s_exo"))]
@@ -226,16 +215,11 @@ def cmd_attribute(args) -> int:
     with _artifact_errors(out / "fits.json", "fit"):
         fits = {entry["cluster_id"]: fit_result_from_dict(entry["hawkes"])
                 for entry in fits_doc["clusters"] if "error" not in entry["hawkes"]}
-    missing = [c.cluster_id for c in clusters if c.cluster_id not in fits]
-    clusters = [c for c in clusters if c.cluster_id in fits]
+        for fit in fits.values():
+            _params_from_fit(fit)  # a parameter that is not a number is malformed
     reports = attribution.attribution_report(
         clusters, fits, w_comments=args.w_comments, pop_scope=args.pop_scope,
         causal=not args.all_time_average)
-    for cid in missing:
-        reports.append(attribution.AttributionReport(
-            cid, None, None, None, 0, args.w_comments, attributable=False,
-            note="not attributable: no usable fit"))
-    reports.sort(key=lambda r: r.cluster_id)
 
     records = [vars(r) for r in reports]
     _write_json(out / "attribution.json", {
@@ -265,8 +249,7 @@ def cmd_report(args) -> int:
             h, po = entry["hawkes"], entry["poisson"]
             if "error" in h or "error" in po:
                 continue
-            aic_rows.append([entry["cluster_id"], repr(h["aic"]), repr(po["aic"]),
-                             repr(h["aic"] - po["aic"])])
+            aic_rows.append([entry["cluster_id"], h["aic"], po["aic"], h["aic"] - po["aic"]])
     _write_csv(out / "aic_diff.csv",
                ["cluster_id", "aic_hawkes", "aic_poisson", "aic_diff"], aic_rows)
 

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines
-from .hawkes import (FitResult, HawkesParams, _check_times, _excitation, _params_from_fit,
-                     compensator, decay_sums, fit_mle)
+from .hawkes import (FitResult, HawkesParams, _check_times, _excitation, _loglik_and_grad,
+                     _params_from_fit, fit_mle)
 from .taggraph import GenreCluster
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "evaluate_all",
 ]
 
-KNOWN_MODELS = ("arima_lite", "hawkes", "hawkes_global", "nhpp_drift", "pc_nhpp",
-                "poisson")
 POOLED_CLUSTER_ID = -1  # row id for models fit on all clusters pooled
 
 
@@ -133,9 +131,8 @@ def holdout_log_likelihood(p: HawkesParams, history: Sequence[float],
     if test.size and (float(np.min(test)) <= t_start or float(np.max(test)) > t_end):
         raise ValueError("test events must lie in (t_start, t_end]")
     merged = _check_times(np.concatenate([history, test]))
-    lam = p.mu + p.beta * decay_sums(merged, p.omega)
-    point_part = float(np.sum(np.log(lam[history.size:])))
-    return point_part - (compensator(p, merged, t_end) - compensator(p, history, t_start))
+    return (_loglik_and_grad(p.mu, p.beta, p.omega, merged, t_end, grad=False)
+            - _loglik_and_grad(p.mu, p.beta, p.omega, history, t_start, grad=False))
 
 
 def _scored(predicted: float, actual: int) -> tuple[float, float, float]:
@@ -169,18 +166,7 @@ class EvaluationTable:
     rows: tuple[EvalRow, ...]
     aggregates: dict
     exclusions: tuple[tuple[int, str], ...]
-    aic_differences: tuple[dict, ...] = ()
-
-
-def _drift_forecast(fit: FitResult, t: float, delta_t: float) -> float:
-    m = float(fit.params["mu_slope"])
-    b = float(fit.params["b_intercept"])
-    end = t + delta_t
-    if m >= 0 or (m * end + b) > 0:
-        return m * 0.5 * (end * end - t * t) + b * delta_t
-    zero_at = -b / m  # rate hits zero inside the window; integrate up to it
-    zero_at = max(zero_at, t)
-    return m * 0.5 * (zero_at * zero_at - t * t) + b * (zero_at - t)
+    aic_differences: tuple[dict, ...]
 
 
 def _daily_counts(times: np.ndarray, span: float) -> np.ndarray:
@@ -189,46 +175,62 @@ def _daily_counts(times: np.ndarray, span: float) -> np.ndarray:
     return np.bincount(idx, minlength=days).astype(float)
 
 
-def _fit_and_forecast(model: str, train: np.ndarray, T: float, horizon: float,
-                      hawkes_cache: dict, bin_width: float) -> tuple[FitResult, float]:
-    if model in ("hawkes", "hawkes_global"):
-        if "fit" not in hawkes_cache:
-            hawkes_cache["fit"] = fit_mle(train, T)
-        fit: FitResult = hawkes_cache["fit"]
-        if "supercritical" in fit.warnings:
-            raise _Supercritical(fit)
-        return fit, conditional_mean_count(_params_from_fit(fit), train, T, horizon)
-    if model == "poisson":
-        fit = baselines.fit_poisson(train, T)
-        return fit, float(fit.params["mu"]) * horizon
-    if model == "pc_nhpp":
-        fit = baselines.fit_pc_nhpp(train, T, bin_width)
-        return fit, float(fit.params["rates"][-1]) * horizon
-    if model == "nhpp_drift":
-        fit = baselines.fit_nhpp_drift(train, T)
-        return fit, _drift_forecast(fit, T, horizon)
-    if model == "arima_lite":
-        counts = _daily_counts(train, T)
-        params, fit = baselines.fit_arima_lite(counts)
-        full_days = int(math.floor(horizon))
-        frac = horizon - full_days
-        levels = baselines.forecast_arima(params, counts, full_days + (1 if frac else 0))
-        predicted = float(np.sum(levels[:full_days]))
-        if frac:
-            predicted += frac * float(levels[full_days])
-        return fit, predicted
-    raise ValueError(f"unknown model {model!r}")
+# Each model fits the training events on [0, T] and forecasts the count over
+# (T, T + horizon]: (fit, predicted), with predicted None when the fit refuses
+# to forecast.  Fitters are looked up at call time, so patching them takes effect.
+
+def _hawkes(train: np.ndarray, T: float, horizon: float,
+            bin_width: float) -> tuple[FitResult, float | None]:
+    fit = fit_mle(train, T)
+    if "supercritical" in fit.warnings:
+        return fit, None
+    return fit, conditional_mean_count(_params_from_fit(fit), train, T, horizon)
 
 
-class _Supercritical(Exception):
-    def __init__(self, fit: FitResult):
-        super().__init__("refused: supercritical")
-        self.fit = fit
+def _poisson(train: np.ndarray, T: float, horizon: float,
+             bin_width: float) -> tuple[FitResult, float]:
+    fit = baselines.fit_poisson(train, T)
+    return fit, float(fit.params["mu"]) * horizon
+
+
+def _pc_nhpp(train: np.ndarray, T: float, horizon: float,
+             bin_width: float) -> tuple[FitResult, float]:
+    fit = baselines.fit_pc_nhpp(train, T, bin_width)
+    return fit, float(fit.params["rates"][-1]) * horizon
+
+
+def _nhpp_drift(train: np.ndarray, T: float, horizon: float,
+                bin_width: float) -> tuple[FitResult, float]:
+    fit = baselines.fit_nhpp_drift(train, T)
+    m = float(fit.params["mu_slope"])
+    b = float(fit.params["b_intercept"])
+    end = T + horizon
+    if m >= 0 or (m * end + b) > 0:
+        return fit, m * 0.5 * (end * end - T * T) + b * horizon
+    end = max(-b / m, T)  # rate hits zero inside the window; integrate up to it
+    return fit, m * 0.5 * (end * end - T * T) + b * (end - T)
+
+
+def _arima_lite(train: np.ndarray, T: float, horizon: float,
+                bin_width: float) -> tuple[FitResult, float]:
+    counts = _daily_counts(train, T)
+    params, fit = baselines.fit_arima_lite(counts)
+    full_days = int(math.floor(horizon))
+    frac = horizon - full_days
+    levels = baselines.forecast_arima(params, counts, full_days + (1 if frac else 0))
+    predicted = float(np.sum(levels[:full_days]))
+    if frac:
+        predicted += frac * float(levels[full_days])
+    return fit, predicted
+
+
+_MODELS = {"arima_lite": _arima_lite, "hawkes": _hawkes, "hawkes_global": _hawkes,
+           "nhpp_drift": _nhpp_drift, "pc_nhpp": _pc_nhpp, "poisson": _poisson}
+KNOWN_MODELS = tuple(_MODELS)
 
 
 def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
-                 models: Sequence[str], *, bin_width: float = 7.0,
-                 aic_pairs: Sequence[tuple[str, str]] = ()) -> EvaluationTable:
+                 models: Sequence[str], *, bin_width: float = 7.0) -> EvaluationTable:
     """Fit every requested model per cluster on the training window and score
     its forecast on the held-out window.
 
@@ -237,9 +239,11 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
     and clusters with an empty training window are listed in exclusions.
     An 'ok' row whose fit did not converge keeps its numbers and says so in
     its note.  The pooled 'hawkes_global' model appears once under cluster id -1.
+    When both 'hawkes' and 'poisson' ran, aic_differences holds their
+    per-cluster AIC difference (hawkes minus poisson).
     """
     model_list = sorted(set(models))
-    unknown = [m for m in model_list if m not in KNOWN_MODELS]
+    unknown = [m for m in model_list if m not in _MODELS]
     if unknown:
         raise ValueError(f"unknown model(s): {', '.join(unknown)}")
 
@@ -257,32 +261,23 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
             return
         train = train - offset
         actual = int(test.size)
-        cache: dict = {}
         for model in unit_models:
-            base = dict(cluster_id=cluster_id, model=model,
-                        train_days=spec.train_days, horizon_days=spec.horizon_days,
-                        actual=actual)
+            fit = predicted = None
             try:
-                fit, predicted = _fit_and_forecast(
-                    model, train, spec.train_days, spec.horizon_days, cache, bin_width)
-            except _Supercritical as exc:
-                rows.append(EvalRow(**base, loglik=exc.fit.log_likelihood,
-                                    aic=exc.fit.aic, predicted=None, abs_error=None,
-                                    rel_error=None, status="refused",
-                                    note="refused: supercritical",
-                                    optimizer=exc.fit.optimizer, grad_max=exc.fit.grad_max))
-                continue
+                fit, predicted = _MODELS[model](train, spec.train_days, spec.horizon_days,
+                                                bin_width)
             except Exception as exc:  # isolate per-model failures
-                rows.append(EvalRow(**base, loglik=None, aic=None, predicted=None,
-                                    abs_error=None, rel_error=None, status="failed",
-                                    note=str(exc)))
-                continue
-            predicted, abs_error, rel_error = _scored(predicted, actual)
-            rows.append(EvalRow(**base, loglik=fit.log_likelihood, aic=fit.aic,
-                                predicted=predicted, abs_error=abs_error,
-                                rel_error=rel_error,
-                                note="" if fit.converged else "fit did not converge",
-                                optimizer=fit.optimizer, grad_max=fit.grad_max))
+                status, note = "failed", str(exc)
+            else:
+                status, note = ("refused", "refused: supercritical") if predicted is None \
+                    else ("ok", "" if fit.converged else "fit did not converge")
+            loglik, aic, optimizer, grad_max = (None,) * 4 if fit is None else \
+                (fit.log_likelihood, fit.aic, fit.optimizer, fit.grad_max)
+            predicted, abs_error, rel_error = (None,) * 3 if predicted is None else \
+                _scored(predicted, actual)
+            rows.append(EvalRow(cluster_id, model, spec.train_days, spec.horizon_days,
+                                loglik, aic, predicted, actual, abs_error, rel_error,
+                                status, note, optimizer, grad_max))
 
     per_cluster = [m for m in model_list if m != "hawkes_global"]
     if per_cluster:
@@ -303,16 +298,11 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
                 "mean_rel_error": float(np.mean([r.rel_error for r in ok])),
             }
 
-    diffs: list[dict] = []
-    for model_a, model_b in aic_pairs:
-        by_cluster_a = {r.cluster_id: r for r in rows
-                        if r.model == model_a and r.aic is not None}
-        by_cluster_b = {r.cluster_id: r for r in rows
-                        if r.model == model_b and r.aic is not None}
-        for cid in sorted(set(by_cluster_a) & set(by_cluster_b)):
-            diffs.append({"cluster_id": cid, "model_a": model_a, "model_b": model_b,
-                          "aic_diff": by_cluster_a[cid].aic - by_cluster_b[cid].aic})
+    aic = {(r.cluster_id, r.model): r.aic for r in rows if r.aic is not None}
+    diffs = tuple({"cluster_id": cid, "model_a": "hawkes", "model_b": "poisson",
+                   "aic_diff": a - aic[(cid, "poisson")]}
+                  for (cid, model), a in sorted(aic.items())
+                  if model == "hawkes" and (cid, "poisson") in aic)
 
     return EvaluationTable(rows=tuple(rows), aggregates=aggregates,
-                           exclusions=tuple(exclusions),
-                           aic_differences=tuple(diffs))
+                           exclusions=tuple(exclusions), aic_differences=diffs)

@@ -230,12 +230,15 @@ class TestReport:
         assert [r.s_pop for r in reports] != [
             pop_score(c, P, 0.5, reference=other_scope, causal=causal) for c in clusters]
 
-    def test_missing_fit_is_an_error(self):
+    def test_missing_fit_marked_not_attributable(self):
         clusters = self.synthetic_clusters()
         fits = fits_for(clusters)
         del fits[0]
-        with pytest.raises(ValueError, match="missing fit"):
-            attribution_report(clusters, fits)
+        reports = attribution_report(clusters, fits)
+        assert reports[0] == AttributionReport(
+            0, None, None, None, 0, 1.0, attributable=False,
+            note="not attributable: no usable fit")
+        assert all(r.attributable for r in reports[1:])
 
     def test_unconverged_fit_marked_not_attributable(self):
         clusters = self.synthetic_clusters()

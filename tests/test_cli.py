@@ -6,6 +6,7 @@ import json
 import pytest
 
 from oracles import drift_log_likelihood
+from tagburst.attribution import attribution_report
 from tagburst.baselines import fit_nhpp_drift
 from tagburst.cli import main
 from tagburst.forecast import default_split, split_stream
@@ -22,6 +23,23 @@ def run(*argv):
 def corpus(tmp_path):
     out = tmp_path / "run"
     assert run("simulate", "--out", str(out), "--seed", "7", "--t-days", "150") == 0
+    return out
+
+
+@pytest.fixture
+def small_cluster_corpus(tmp_path):
+    """The README corpus plus four uploads on tags of their own by the metal
+    genre's only uploader, inside the 60-day training window: too few events
+    for a self-exciting fit, and views that raise that uploader's average."""
+    out = tmp_path / "small"
+    assert run("simulate", "--out", str(out), "--seed", "0", "--t-days", "120") == 0
+    events = out / "events.jsonl"
+    records = [json.loads(line) for line in events.read_text().splitlines()]
+    start = min(r["ts"] for r in records)
+    records += [{"video_id": f"extra{k}", "ts": start + 86400.0 * (50 + k),
+                 "uploader_id": "solo_uploader", "tags": ["x", "y"], "views": 10 ** 7,
+                 "comments": 0} for k in range(4)]
+    events.write_text("".join(json.dumps(r) + "\n" for r in records))
     return out
 
 
@@ -207,6 +225,21 @@ class TestForecast:
                                  "loglik", "aic", "predicted", "actual", "abs_error",
                                  "rel_error", "status", "note"]
 
+    def test_csv_cells_equal_json_values(self, small_cluster_corpus):
+        out = fitted(small_cluster_corpus)
+        assert run("forecast", "--input", str(out / "events.jsonl"), "--out", str(out),
+                   "--train-days", "60", "--models",
+                   "arima_lite,hawkes,hawkes_global,nhpp_drift,pc_nhpp,poisson") == 0
+        doc_rows = read_json(out / "forecast.json")["rows"]
+        csv_rows = read_csv(out / "forecast.csv")
+        assert len(csv_rows) == len(doc_rows)
+        assert any(r["status"] == "failed" for r in doc_rows)  # null cells occur
+        for csv_row, doc_row in zip(csv_rows, doc_rows):
+            for key, cell in csv_row.items():
+                value = doc_row[key]
+                assert cell == ("" if value is None else
+                                repr(value) if isinstance(value, float) else str(value))
+
     def test_unknown_model_fails_cleanly(self, corpus, capsys):
         fitted(corpus)
         assert run("forecast", "--input", str(corpus / "events.jsonl"),
@@ -243,6 +276,30 @@ class TestAttribute:
         assert doc["pop_scope"] == "cluster"
         assert doc["w_comments"] == 2.5
         assert doc["causal"] is True
+
+    def test_cluster_without_a_fit_stays_in_the_platform_reference(
+            self, small_cluster_corpus):
+        out = fitted(small_cluster_corpus)
+        events = out / "events.jsonl"
+        assert run("attribute", "--input", str(events), "--out", str(out)) == 0
+        records = read_json(out / "attribution.json")["clusters"]
+        clusters = extract_clusters(parse_events(events), 2)
+        small = next(c for c in clusters if len(c.events) == 4)
+        fits = {c.cluster_id: fit_mle(c.events.times, c.events.horizon_T)
+                for c in clusters if c is not small}
+        expected = attribution_report(clusters, fits)
+        assert [r["cluster_id"] for r in records] == [r.cluster_id for r in expected]
+        for record, report in zip(records, expected):
+            if report.cluster_id == small.cluster_id:
+                assert not record["attributable"]
+                assert record["note"] == "not attributable: no usable fit"
+            else:
+                assert record["s_pop"] == report.s_pop
+        # leaving the small cluster out of the reference moves the metal genre's share
+        metal = next(c.cluster_id for c in clusters if "metal" in c.tags)
+        without = attribution_report([c for c in clusters if c is not small], fits)
+        assert next(r.s_pop for r in without if r.cluster_id == metal) != \
+            next(r.s_pop for r in expected if r.cluster_id == metal)
 
 
 class TestReport:
@@ -283,7 +340,7 @@ class TestReport:
         self.full_pipeline(corpus)
         rows = read_csv(corpus / "weekly_counts.csv")
         total = sum(int(r["count"]) for r in rows)
-        n_events = sum(1 for _ in (corpus / "events.jsonl").open())
+        n_events = len((corpus / "events.jsonl").read_text().splitlines())
         assert total == n_events
 
 
@@ -306,8 +363,11 @@ class TestMalformedArtifacts:
         ("attribute", "fits.json", None, "malformed (Expecting"),
         ("attribute", "fits.json",
          lambda doc: doc["clusters"][0]["hawkes"].update(loglik="x"), "malformed"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][0]["hawkes"].update(mu="x"), "malformed"),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
-            "attribution-without-clusters", "fits-not-json", "loglik-not-a-number"])
+            "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
+            "mu-not-a-number"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")

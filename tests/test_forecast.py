@@ -177,6 +177,14 @@ class TestHoldout:
                     - direct_compensator(P.mu, P.beta, P.omega, history, 2.0))
         assert got == pytest.approx(-integral, rel=1e-12)
 
+    def test_empty_history_from_time_zero(self):
+        test = np.array([0.4, 1.1, 1.3])
+        got = holdout_log_likelihood(P, [], test, 0.0, 2.0)
+        point = sum(math.log(direct_intensity(P.mu, P.beta, P.omega, test[:i], t))
+                    for i, t in enumerate(test))
+        integral = direct_compensator(P.mu, P.beta, P.omega, test, 2.0)
+        assert got == pytest.approx(point - integral, rel=1e-12)
+
     def test_test_events_outside_window_rejected(self):
         with pytest.raises(ValueError):
             holdout_log_likelihood(P, [1.0], [2.5], 3.0, 5.0)
@@ -279,12 +287,13 @@ class TestEvaluateAll:
 
     def test_aic_difference_pairs(self):
         clusters = corpus_clusters()
-        table = evaluate_all(clusters, default_split(150.0, 60.0),
-                             ["hawkes", "poisson"],
-                             aic_pairs=[("hawkes", "poisson")])
+        spec = default_split(150.0, 60.0)
+        table = evaluate_all(clusters, spec, ["hawkes", "poisson"])
         by_model = {(r.cluster_id, r.model): r for r in table.rows}
         assert len(table.aic_differences) == len(clusters)
+        assert evaluate_all(clusters, spec, ["hawkes"]).aic_differences == ()
         for d in table.aic_differences:
+            assert (d["model_a"], d["model_b"]) == ("hawkes", "poisson")
             a = by_model[(d["cluster_id"], "hawkes")].aic
             b = by_model[(d["cluster_id"], "poisson")].aic
             assert d["aic_diff"] == a - b

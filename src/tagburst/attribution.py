@@ -18,33 +18,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .hawkes import (FitResult, HawkesParams, _check_times, _excitation, _params_from_fit,
-                     decay_sums)
-from .ingest import Event, EventStream
+from .hawkes import FitResult, HawkesParams, _params_from_fit, decay_sums
+from .ingest import Event
 from .taggraph import GenreCluster
 
 __all__ = [
     "AttributionReport",
-    "triggering_probability",
-    "self_score",
-    "pop_score",
     "attribution_report",
 ]
 
 TRUNCATION_EXPONENT = 40.0
-
-
-def triggering_probability(p: HawkesParams, times: Sequence[float], i: int, j: int) -> float:
-    """p_ij = kernel weight of i at t_j over the full intensity at t_j.
-
-    Simultaneous events are ordered by index: an earlier-indexed event can
-    trigger a later one at full weight, never the reverse.
-    """
-    times = _check_times(times)
-    if not (0 <= i < j < times.size):
-        raise ValueError(f"need 0 <= i < j < n, got i={i}, j={j}, n={times.size}")
-    lam_j = p.mu + _excitation(p, times[:j], times[j])
-    return p.beta * math.exp(-p.omega * (times[j] - times[i])) / lam_j
 
 
 def _psi_values(events: Sequence[Event], w_comments: float) -> np.ndarray:
@@ -88,10 +71,8 @@ def _prior_thresholds(cluster_events: Sequence[Event],
     return out
 
 
-def _pair_sums(p: HawkesParams, times: np.ndarray,
-               same_uploader: Sequence[str] | None,
-               psi: np.ndarray | None, thresholds: np.ndarray | None,
-               ) -> tuple[float, float, float, int]:
+def _pair_sums(p: HawkesParams, times: np.ndarray, uploaders: Sequence[str],
+               psi: np.ndarray, thresholds: np.ndarray) -> tuple[float, float, float, int]:
     """One truncated pass over recent pairs: returns (denominator,
     self numerator, popularity numerator, pairs evaluated).  The intensity in
     each p_ij uses the exact O(n) recursion over the full history."""
@@ -110,53 +91,11 @@ def _pair_sums(p: HawkesParams, times: np.ndarray,
             pij = scale * math.exp(-p.omega * gap)
             den += pij
             n_pairs += 1
-            if same_uploader is not None and same_uploader[i] == same_uploader[j]:
+            if uploaders[i] == uploaders[j]:
                 num_self += pij
-            if psi is not None and psi[i] > thresholds[j]:
+            if psi[i] > thresholds[j]:
                 num_pop += pij
     return den, num_self, num_pop, n_pairs
-
-
-def _shares(cluster: GenreCluster, p: HawkesParams,
-            same_uploader: Sequence[str] | None,
-            psi: np.ndarray | None, thresholds: np.ndarray | None,
-            ) -> tuple[float, float, int]:
-    """(self share, popularity share, pairs evaluated) of one cluster.
-
-    Raises ValueError naming the reason when there is no endogenous mass to
-    attribute: fewer than 2 events, beta = 0, or every pair truncated away.
-    """
-    if len(cluster.events) < 2 or p.beta <= 0:
-        raise ValueError("no endogenous mass")
-    den, num_self, num_pop, n_pairs = _pair_sums(
-        p, cluster.events.times, same_uploader, psi, thresholds)
-    if den == 0.0:
-        raise ValueError("pair contributions vanish")
-    return num_self / den, num_pop / den, n_pairs
-
-
-def self_score(cluster: GenreCluster, p: HawkesParams) -> float:
-    """Share of triggering mass on same-uploader pairs, in [0, 1]."""
-    uploaders = [e.uploader_id for e in cluster.events.events]
-    return _shares(cluster, p, uploaders, None, None)[0]
-
-
-def pop_score(cluster: GenreCluster, p: HawkesParams, w_comments: float = 1.0,
-              reference: EventStream | None = None, causal: bool = True) -> float:
-    """Share of triggering mass from uploads more popular than the triggered
-    uploader's own average.
-
-    Popularity is views + w_comments * comments.  The uploader average is
-    taken over the reference stream (the whole platform when provided,
-    otherwise the cluster itself), over strictly earlier uploads when causal.
-    """
-    if not (math.isfinite(w_comments) and w_comments >= 0):
-        raise ValueError(f"w_comments must be >= 0, got {w_comments}")
-    events = cluster.events.events
-    ref = reference if reference is not None else cluster.events
-    psi = _psi_values(events, w_comments)
-    thresholds = _prior_thresholds(events, _prior_means(ref.events, w_comments, causal))
-    return _shares(cluster, p, None, psi, thresholds)[1]
 
 
 @dataclass(frozen=True)
@@ -181,7 +120,14 @@ def attribution_report(clusters: Sequence[GenreCluster],
     converge), are marked not attributable instead of failing the whole
     report, and their uploads still count in the platform popularity
     reference; a negative exogenous share is flagged in the note, not
-    renormalized."""
+    renormalized.
+
+    Popularity is views + w_comments * comments; a trigger is popular when it
+    beats its target's uploader mean over the reference (all clusters, or the
+    target's own), taken over strictly earlier uploads when causal.
+    """
+    if not (math.isfinite(w_comments) and w_comments >= 0):
+        raise ValueError(f"w_comments must be >= 0, got {w_comments}")
     if pop_scope not in ("platform", "cluster"):
         raise ValueError(f"pop_scope must be 'platform' or 'cluster', got {pop_scope!r}")
 
@@ -207,13 +153,19 @@ def attribution_report(clusters: Sequence[GenreCluster],
                 raise ValueError("fit did not converge")
             if "effectively_poisson" in fit.warnings:
                 raise ValueError("effectively Poisson fit, endogenous mass is noise")
-            s_self, s_pop, n_pairs = _shares(c, _params_from_fit(fit), uploaders, psi,
-                                             thresholds)
+            p = _params_from_fit(fit)
+            if len(events) < 2 or p.beta <= 0:
+                raise ValueError("no endogenous mass")
+            den, num_self, num_pop, n_pairs = _pair_sums(
+                p, c.events.times, uploaders, psi, thresholds)
+            if den == 0.0:
+                raise ValueError("pair contributions vanish")
         except ValueError as exc:
             reports.append(AttributionReport(
                 c.cluster_id, None, None, None, 0, float(w_comments),
                 attributable=False, note=f"not attributable: {exc}"))
             continue
+        s_self, s_pop = num_self / den, num_pop / den
         s_exo = 1.0 - (s_self + s_pop)
         note = "negative exogenous share: self and popularity shares overlap" \
             if s_exo < 0 else ""

@@ -87,7 +87,8 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     stream = parse_events(args.input, format=args.format)
     meta = _load_artifact(out / "clusters.json", "cluster")
     assign_path = _require_artifact(out / "assignments.csv", "cluster")
-    with assign_path.open(newline="", encoding="utf-8") as fh:
+    with _artifact_errors(assign_path, "cluster"), \
+            assign_path.open(newline="", encoding="utf-8") as fh:
         assignment = {row["video_id"]: int(row["cluster_id"])
                       for row in csv.DictReader(fh)}
     members: dict[int, list] = {}
@@ -175,6 +176,9 @@ def cmd_forecast(args) -> int:
         raise ValueError("forecast needs --train-days")
     spec = forecast.default_split(stream.horizon_T, args.train_days, args.horizon_days)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
+    if not models:
+        raise ValueError(f"--models names no model; choose from "
+                         f"{', '.join(forecast.KNOWN_MODELS)}")
     table = forecast.evaluate_all(clusters, spec, models, bin_width=args.bin_width)
 
     header = ["cluster_id", "model", "train_days", "horizon_days", "loglik", "aic",

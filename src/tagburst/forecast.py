@@ -105,7 +105,8 @@ def expected_count(p: HawkesParams, history: Sequence[float], t: float,
     """Compensator increment over (t, t + delta_t] given the history alone.
 
     Events inside the window are not credited with offspring, so for beta > 0
-    this is a lower bound on conditional_mean_count.
+    this is a lower bound on conditional_mean_count.  No pipeline stage calls
+    it; it stays while the benchmark's forecast.expected_count.* metrics hook it.
     """
     return _mean_count(p, history, t, delta_t, 0.0)
 

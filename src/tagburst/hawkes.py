@@ -34,10 +34,8 @@ __all__ = [
     "make_fit_result",
     "fit_result_to_dict",
     "fit_result_from_dict",
-    "intensity_at",
     "log_likelihood",
     "log_likelihood_gradient",
-    "compensator",
     "fit_mle",
     "rescaled_residuals",
 ]
@@ -193,28 +191,6 @@ def decay_sums(times: np.ndarray, omega: float) -> np.ndarray:
 def _excitation(p: HawkesParams, history: np.ndarray, t: float) -> float:
     """beta * sum_i exp(-omega (t - t_i)): the self-excited part of lam(t) given the history."""
     return p.beta * float(np.sum(np.exp(-p.omega * (t - history))))
-
-
-def intensity_at(p: HawkesParams, history: Sequence[float], t: float) -> float:
-    """Conditional intensity at t given past event times.
-
-    History entries exactly at t count at full weight (ordered-tie rule);
-    entries after t are an error.
-    """
-    history = np.asarray(history, dtype=float)
-    if history.size and float(np.max(history)) > t:
-        raise ValueError("t precedes part of the history")
-    return p.mu + _excitation(p, history, t)
-
-
-def compensator(p: HawkesParams, times: Sequence[float], t: float) -> float:
-    """Integrated intensity Lambda(t) = mu*t + (beta/omega) * sum_{t_i<t} (1 - e^{-omega(t-t_i)})."""
-    times = _check_times(times)
-    if not math.isfinite(t) or t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    past = times[times < t]
-    # -expm1 keeps 1 - e^{-x} accurate when omega*(t - t_i) underflows
-    return float(p.mu * t + (p.beta / p.omega) * np.sum(-np.expm1(-p.omega * (t - past))))
 
 
 def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "ParseError",
     "parse_events",
     "write_events",
-    "validate_stream",
 ]
 
 MICROS_PER_DAY = 86_400_000_000
@@ -265,37 +263,3 @@ def write_events(stream: EventStream, path: str | Path, format: str | None = Non
     for vid, ts, uploader, tags, views, comments in rows:
         writer.writerow([vid, repr(ts), uploader, "|".join(tags), views, comments])
     path.write_text(buf.getvalue(), encoding="utf-8")
-
-
-def validate_stream(s: EventStream) -> list[str]:
-    """Return one message per invariant violation; empty list means valid."""
-    violations: list[str] = []
-    seen: dict[str, int] = {}
-    prev_key: tuple[float, str] | None = None
-    for i, e in enumerate(s.events):
-        where = f"event {i} (video {e.video_id!r})"
-        if not e.video_id:
-            violations.append(f"event {i}: empty video_id")
-        if e.video_id in seen:
-            violations.append(f"{where}: duplicate video_id (also event {seen[e.video_id]})")
-        else:
-            seen[e.video_id] = i
-        if not (math.isfinite(e.upload_time) and e.upload_time >= 0):
-            violations.append(f"{where}: upload_time must be finite and >= 0")
-        if e.upload_time > s.horizon_T:
-            violations.append(f"{where}: upload_time {e.upload_time} > horizon_T {s.horizon_T}")
-        if not e.uploader_id:
-            violations.append(f"{where}: empty uploader_id")
-        if not e.tags or any(not t for t in e.tags):
-            violations.append(f"{where}: tags must be a non-empty set of non-empty strings")
-        if e.n_views < 0:
-            violations.append(f"{where}: n_views must be >= 0")
-        if e.n_comments < 0:
-            violations.append(f"{where}: n_comments must be >= 0")
-        key = (e.upload_time, e.video_id)
-        if prev_key is not None and key < prev_key:
-            violations.append(f"{where}: out of order (sort by upload_time, then video_id)")
-        prev_key = key
-    if not math.isfinite(s.horizon_T):
-        violations.append("stream: horizon_T must be finite")
-    return violations

@@ -111,6 +111,19 @@ def brute_attribution(mu, beta, omega, times, uploaders, psi, thresholds):
     return num_self / den, num_pop / den
 
 
+def uploader_mean_thresholds(events, reference, w_comments, causal):
+    """Per event, the mean popularity (views + w_comments * comments) of its
+    uploader's uploads in the reference: all of them, or only those before it
+    in reference order when causal; zero when there are none."""
+    position = {r.video_id: k for k, r in enumerate(reference)}
+    out = []
+    for e in events:
+        values = [r.n_views + w_comments * r.n_comments for k, r in enumerate(reference)
+                  if r.uploader_id == e.uploader_id and (not causal or k < position[e.video_id])]
+        out.append(sum(values) / len(values) if values else 0.0)
+    return np.array(out)
+
+
 def expected_count_by_quadrature(mu, beta, omega, history, t, delta_t, n_grid=200001):
     """Integrate the history-only intensity over (t, t+delta_t] numerically."""
     grid = np.linspace(t, t + delta_t, n_grid)
@@ -210,3 +223,38 @@ def simplex_fallback_maximize(fun, x0, bounds=None, grad_tol=1e-6, max_iter=500)
                 float(np.max(np.abs(fun(x, True)[1]))) < grad_tol
 
     return x, -best, bool(converged), n_iter
+
+
+def validate_stream(s):
+    """One message per violated EventStream invariant, checked event by event;
+    an empty list means valid."""
+    violations: list[str] = []
+    seen: dict[str, int] = {}
+    prev_key: tuple[float, str] | None = None
+    for i, e in enumerate(s.events):
+        where = f"event {i} (video {e.video_id!r})"
+        if not e.video_id:
+            violations.append(f"event {i}: empty video_id")
+        if e.video_id in seen:
+            violations.append(f"{where}: duplicate video_id (also event {seen[e.video_id]})")
+        else:
+            seen[e.video_id] = i
+        if not (math.isfinite(e.upload_time) and e.upload_time >= 0):
+            violations.append(f"{where}: upload_time must be finite and >= 0")
+        if e.upload_time > s.horizon_T:
+            violations.append(f"{where}: upload_time {e.upload_time} > horizon_T {s.horizon_T}")
+        if not e.uploader_id:
+            violations.append(f"{where}: empty uploader_id")
+        if not e.tags or any(not t for t in e.tags):
+            violations.append(f"{where}: tags must be a non-empty set of non-empty strings")
+        if e.n_views < 0:
+            violations.append(f"{where}: n_views must be >= 0")
+        if e.n_comments < 0:
+            violations.append(f"{where}: n_comments must be >= 0")
+        key = (e.upload_time, e.video_id)
+        if prev_key is not None and key < prev_key:
+            violations.append(f"{where}: out of order (sort by upload_time, then video_id)")
+        prev_key = key
+    if not math.isfinite(s.horizon_T):
+        violations.append("stream: horizon_T must be finite")
+    return violations

@@ -19,10 +19,11 @@ from scipy import stats
 import tagburst
 from mc_reference import mc_expected_count
 from oracles import bfs_components, brute_attribution, central_difference, direct_log_likelihood
-from tagburst.attribution import attribution_report, pop_score, self_score, triggering_probability
+from tagburst.attribution import _pair_sums, attribution_report
 from tagburst.baselines import _drift_objective, fit_poisson
-from tagburst.forecast import SplitSpec, expected_count, holdout_log_likelihood, split_stream
-from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood, log_likelihood_gradient, rescaled_residuals
+from tagburst.forecast import SplitSpec, conditional_mean_count, holdout_log_likelihood, split_stream
+from tagburst.hawkes import (HawkesParams, fit_mle, log_likelihood, log_likelihood_gradient,
+                             make_fit_result, rescaled_residuals)
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import SimConfig, default_corpus_spec, derive_seed, make_synthetic_corpus, simulate_hawkes
 from tagburst.taggraph import (GenreCluster, TagGraph, build_affinity_graph,
@@ -132,13 +133,19 @@ def test_05_attribution_normalization_oracle_and_exact_sum():
     for _ in range(40):
         p = random_params(rng)
         times = np.sort(rng.uniform(0.0, 15.0, size=int(rng.integers(3, 40))))
+        expected = 0.0
         for j in range(1, times.size):
-            total = sum(triggering_probability(p, times, i, j) for i in range(j))
             lam_j = p.mu + p.beta * float(
                 np.sum(np.exp(-p.omega * (times[j] - times[:j]))))
-            worst_norm = max(worst_norm, abs(total - (lam_j - p.mu) / lam_j))
+            expected += (lam_j - p.mu) / lam_j
+        # the attribution pass's denominator is the sum of every p_ij
+        den = _pair_sums(p, times, ["u"] * times.size, np.zeros(times.size),
+                         np.zeros(times.size))[0]
+        worst_norm = max(worst_norm, abs(den - expected))
 
     p = HawkesParams(0.5, 1.0, 2.0)
+    fit = make_fit_result("hawkes", {"mu": p.mu, "beta": p.beta, "omega": p.omega},
+                          -1.0, 3, True, 5)
     worst_score = 0.0
     for trial in range(8):
         r = np.random.default_rng(600 + trial)
@@ -159,9 +166,9 @@ def test_05_attribution_normalization_oracle_and_exact_sum():
             running[u] = (tot + psi[k], cnt + 1)
         oracle_self, oracle_pop = brute_attribution(
             p.mu, p.beta, p.omega, times, uploaders, psi, thresholds)
-        worst_score = max(worst_score,
-                          abs(self_score(cluster, p) - oracle_self),
-                          abs(pop_score(cluster, p) - oracle_pop))
+        [shares] = attribution_report([cluster], {0: fit}, causal=True)
+        worst_score = max(worst_score, abs(shares.s_self - oracle_self),
+                          abs(shares.s_pop - oracle_pop))
 
     stream, _ = make_synthetic_corpus(default_corpus_spec(), T=150.0, seed=2)
     clusters = extract_clusters(stream, 2)
@@ -182,7 +189,7 @@ def test_06_forecast_calibration():
     rel = abs(mean / 400.0 - target) / target
 
     q = HawkesParams(0.7, 0.0, 1.0)
-    exact = expected_count(q, [1.0, 2.0, 3.0], 5.0, 9.0) == q.mu * 9.0
+    exact = conditional_mean_count(q, [1.0, 2.0, 3.0], 5.0, 9.0) == q.mu * 9.0
 
     report(6, rel <= 0.03 and exact,
            f"MC rate off stationary mean by {rel:.4f} (limit 0.03); "

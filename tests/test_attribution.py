@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import brute_attribution
-from tagburst.attribution import (AttributionReport, attribution_report, pop_score,
-                                  self_score, triggering_probability)
+from oracles import brute_attribution, uploader_mean_thresholds
+from tagburst.attribution import AttributionReport, _pair_sums, attribution_report
 from tagburst.hawkes import HawkesParams, fit_mle, make_fit_result
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
@@ -18,7 +17,7 @@ def make_cluster(times, uploaders, views=None, comments=None, cluster_id=0):
     views = views if views is not None else [0] * len(times)
     comments = comments if comments is not None else [0] * len(times)
     events = tuple(
-        Event(f"v{k:03d}", float(t), u, frozenset({"tag"}), int(v), int(c))
+        Event(f"c{cluster_id}v{k:03d}", float(t), u, frozenset({"tag"}), int(v), int(c))
         for k, (t, u, v, c) in enumerate(zip(times, uploaders, views, comments)))
     stream = EventStream(origin=0.0, events=events,
                          horizon_T=float(times[-1]) + 1.0 if len(times) else 1.0)
@@ -33,23 +32,33 @@ def random_cluster(rng, n, rate_span=20.0):
     return make_cluster(times, uploaders, views, comments)
 
 
+def pair_probability(p, times, i, j):
+    """p_ij from the attribution pass: its self numerator when only events i
+    and j share an uploader."""
+    uploaders = [f"u{k}" for k in range(len(times))]
+    uploaders[i] = uploaders[j] = "shared"
+    zeros = np.zeros(len(times))
+    return _pair_sums(p, np.asarray(times, dtype=float), uploaders, zeros, zeros)[1]
+
+
+def hawkes_fit(p=P):
+    return make_fit_result("hawkes", {"mu": p.mu, "beta": p.beta, "omega": p.omega},
+                           -1.0, 3, True, 5)
+
+
+def report_for(cluster, p=P, **kwargs):
+    [r] = attribution_report([cluster], {cluster.cluster_id: hawkes_fit(p)}, **kwargs)
+    return r
+
+
 class TestTriggeringProbability:
     def test_worked_example(self):
-        assert triggering_probability(P, [1.0, 1.5], 0, 1) == pytest.approx(
+        assert pair_probability(P, [1.0, 1.5], 0, 1) == pytest.approx(
             0.4238831152341709, rel=1e-15)
-
-    def test_bounds_checked(self):
-        for i, j in [(1, 1), (2, 1), (0, 5), (-1, 1)]:
-            with pytest.raises(ValueError):
-                triggering_probability(P, [1.0, 2.0, 3.0], i, j)
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            triggering_probability(P, [2.0, 1.0], 0, 1)
 
     def test_simultaneous_pair_gets_full_kernel_weight(self):
         # index order breaks the tie: p = beta / (mu + beta)
-        assert triggering_probability(P, [1.0, 1.0], 0, 1) == pytest.approx(
+        assert pair_probability(P, [1.0, 1.0], 0, 1) == pytest.approx(
             1.0 / 1.5, rel=1e-15)
 
     def test_lies_in_unit_interval(self):
@@ -58,7 +67,7 @@ class TestTriggeringProbability:
         for _ in range(50):
             j = int(rng.integers(1, 30))
             i = int(rng.integers(0, j))
-            assert 0.0 <= triggering_probability(P, times, i, j) <= 1.0
+            assert 0.0 <= pair_probability(P, times, i, j) <= 1.0
 
     def test_column_sums_are_endogenous_fraction(self):
         # sum_i p_ij must equal (lambda_j - mu) / lambda_j to 1e-10
@@ -68,7 +77,7 @@ class TestTriggeringProbability:
                              float(rng.uniform(0.5, 3)))
             times = np.sort(rng.uniform(0, 15, size=25))
             for j in (1, 10, 24):
-                total = sum(triggering_probability(p, times, i, j) for i in range(j))
+                total = sum(pair_probability(p, times, i, j) for i in range(j))
                 lam_j = p.mu + p.beta * np.sum(np.exp(-p.omega * (times[j] - times[:j])))
                 assert total == pytest.approx((lam_j - p.mu) / lam_j, abs=1e-10)
 
@@ -76,11 +85,11 @@ class TestTriggeringProbability:
 class TestSelfScore:
     def test_single_uploader_is_exactly_one(self):
         c = make_cluster([0.5, 1.0, 2.0, 3.5], ["u"] * 4)
-        assert self_score(c, P) == 1.0
+        assert report_for(c).s_self == 1.0
 
     def test_all_distinct_uploaders_is_exactly_zero(self):
         c = make_cluster([0.5, 1.0, 2.0, 3.5], ["a", "b", "c", "d"])
-        assert self_score(c, P) == 0.0
+        assert report_for(c).s_self == 0.0
 
     def test_matches_untruncated_enumeration(self):
         rng = np.random.default_rng(11)
@@ -90,20 +99,19 @@ class TestSelfScore:
             psi = np.zeros(40)
             expected, _ = brute_attribution(
                 P.mu, P.beta, P.omega, c.events.times, uploaders, psi, np.ones(40))
-            assert self_score(c, P) == pytest.approx(expected, abs=1e-6)
+            assert report_for(c).s_self == pytest.approx(expected, abs=1e-6)
 
     def test_requires_two_events_and_positive_beta(self):
-        with pytest.raises(ValueError, match="endogenous"):
-            self_score(make_cluster([1.0], ["u"]), P)
-        with pytest.raises(ValueError, match="endogenous"):
-            self_score(make_cluster([1.0, 2.0], ["u", "u"]),
-                       HawkesParams(1.0, 0.0, 1.0))
+        for r in (report_for(make_cluster([1.0], ["u"])),
+                  report_for(make_cluster([1.0, 2.0], ["u", "u"]),
+                             HawkesParams(1.0, 0.0, 1.0))):
+            assert not r.attributable and r.note == "not attributable: no endogenous mass"
 
     def test_vanishing_pairs_is_an_error(self):
         # omega so large every pair exceeds the truncation window
         c = make_cluster([0.0, 100.0], ["u", "u"])
-        with pytest.raises(ValueError, match="vanish"):
-            self_score(c, HawkesParams(1.0, 1.0, 5.0))
+        r = report_for(c, HawkesParams(1.0, 1.0, 5.0))
+        assert not r.attributable and "vanish" in r.note
 
 
 class TestPopScore:
@@ -123,12 +131,12 @@ class TestPopScore:
             _, expected = brute_attribution(
                 P.mu, P.beta, P.omega, c.events.times,
                 [e.uploader_id for e in events], psi, thresholds)
-            assert pop_score(c, P) == pytest.approx(expected, abs=1e-6)
+            assert report_for(c).s_pop == pytest.approx(expected, abs=1e-6)
 
     def test_all_zero_popularity_scores_zero(self):
         # psi == 0 never exceeds the zero threshold (strict comparison)
         c = make_cluster([0.5, 1.0, 2.0], ["a", "b", "a"])
-        assert pop_score(c, P) == 0.0
+        assert report_for(c).s_pop == 0.0
 
     def test_comment_weight_changes_the_score(self):
         times = [0.5, 1.0, 1.5, 2.0]
@@ -136,32 +144,29 @@ class TestPopScore:
         views = [0, 50, 100, 10]
         comments = [500, 0, 0, 0]
         c = make_cluster(times, uploaders, views, comments)
-        assert pop_score(c, P, w_comments=0.0) != pop_score(c, P, w_comments=10.0)
+        assert report_for(c, w_comments=0.0).s_pop != report_for(c, w_comments=10.0).s_pop
 
     def test_negative_weight_rejected(self):
         c = make_cluster([0.5, 1.0], ["a", "b"])
-        with pytest.raises(ValueError):
-            pop_score(c, P, w_comments=-1.0)
+        for w in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="w_comments"):
+                report_for(c, w_comments=w)
 
     def test_all_time_average_differs_from_causal(self):
         # rising popularity: all-time averages exceed early causal ones
         times = [0.5, 1.0, 1.5, 2.0, 2.5]
         c = make_cluster(times, ["u"] * 5, views=[10, 20, 40, 80, 160])
-        assert pop_score(c, P, causal=True) != pop_score(c, P, causal=False)
+        assert report_for(c, causal=True).s_pop != report_for(c, causal=False).s_pop
 
     def test_platform_reference_shifts_thresholds(self):
         times = [0.5, 1.0, 1.5, 2.0]
         cluster = make_cluster(times, ["u"] * 4, views=[50, 60, 70, 80])
         # same uploader's uploads elsewhere are far more popular
         other = make_cluster([0.1, 0.2], ["u", "u"], views=[5000, 6000], cluster_id=1)
-        merged_events = tuple(sorted(
-            cluster.events.events + other.events.events,
-            key=lambda e: (e.upload_time, e.video_id)))
-        # rename ids so the merged stream has no duplicates
-        platform = EventStream(0.0, merged_events, 10.0)
-        in_cluster = pop_score(cluster, P, reference=None)
-        platform_wide = pop_score(cluster, P, reference=platform)
-        assert platform_wide < in_cluster
+        fits = {0: hawkes_fit(), 1: hawkes_fit()}
+        in_cluster = attribution_report([cluster, other], fits, pop_scope="cluster")[0]
+        platform_wide = attribution_report([cluster, other], fits, pop_scope="platform")[0]
+        assert platform_wide.s_pop < in_cluster.s_pop
 
 
 class TestExoScore:
@@ -217,18 +222,25 @@ class TestReport:
                                          EventStream(0.0, events, 30.0)))
         merged = sorted((e for c in clusters for e in c.events.events),
                         key=lambda e: (e.upload_time, e.video_id))
-        platform = EventStream(0.0, tuple(merged), 30.0)
         fit = make_fit_result("hawkes", {"mu": 0.5, "beta": 1.0, "omega": 2.0},
                               -1.0, 3, True, 5)
         reports = attribution_report(clusters, {c.cluster_id: fit for c in clusters},
                                      0.5, pop_scope=pop_scope, causal=causal)
-        reference, other_scope = (platform, None) if pop_scope == "platform" \
-            else (None, platform)
+
+        def brute(c, reference):
+            events = c.events.events
+            return brute_attribution(
+                P.mu, P.beta, P.omega, c.events.times, [e.uploader_id for e in events],
+                np.array([e.n_views + 0.5 * e.n_comments for e in events]),
+                uploader_mean_thresholds(events, reference, 0.5, causal))
+
+        own, other = (merged, None) if pop_scope == "platform" else (None, merged)
         for c, r in zip(clusters, reports):
-            assert r.s_self == self_score(c, P)
-            assert r.s_pop == pop_score(c, P, 0.5, reference=reference, causal=causal)
-        assert [r.s_pop for r in reports] != [
-            pop_score(c, P, 0.5, reference=other_scope, causal=causal) for c in clusters]
+            s_self, s_pop = brute(c, own or c.events.events)
+            assert r.s_self == pytest.approx(s_self, abs=1e-12)
+            assert r.s_pop == pytest.approx(s_pop, abs=1e-12)
+        assert [r.s_pop for r in reports] != pytest.approx(
+            [brute(c, other or c.events.events)[1] for c in clusters], abs=1e-12)
 
     def test_missing_fit_marked_not_attributable(self):
         clusters = self.synthetic_clusters()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -247,6 +248,14 @@ class TestForecast:
                    "--models", "hawkes,sarima") == 1
         assert "sarima" in capsys.readouterr().err
 
+    def test_empty_model_list_fails_cleanly(self, corpus, capsys):
+        fitted(corpus)
+        assert run("forecast", "--input", str(corpus / "events.jsonl"),
+                   "--out", str(corpus), "--train-days", "60", "--models", ",") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --models") and err.count("\n") == 1
+        assert not (corpus / "forecast.csv").exists()
+
     def test_missing_train_days_fails(self, corpus, capsys):
         fitted(corpus)
         assert run("forecast", "--input", str(corpus / "events.jsonl"),
@@ -365,9 +374,13 @@ class TestMalformedArtifacts:
          lambda doc: doc["clusters"][0]["hawkes"].update(loglik="x"), "malformed"),
         ("attribute", "fits.json",
          lambda doc: doc["clusters"][0]["hawkes"].update(mu="x"), "malformed"),
+        ("fit", "assignments.csv", lambda text: text.replace("video_id", "id", 1),
+         "missing field 'video_id'"),
+        ("fit", "assignments.csv", lambda text: re.sub(r",\d+\n", ",zero\n", text, count=1),
+         "malformed (invalid literal"),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
             "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
-            "mu-not-a-number"])
+            "mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")
@@ -378,6 +391,8 @@ class TestMalformedArtifacts:
         path = corpus / artifact
         if edit is None:
             path.write_text("{")
+        elif path.suffix == ".csv":
+            path.write_text(edit(path.read_text()))
         else:
             doc = read_json(path)
             edit(doc)

@@ -10,9 +10,9 @@ from oracles import (central_difference, direct_compensator, direct_intensity,
                      direct_log_likelihood, loop_decay_state, simplex_fallback_maximize)
 from tagburst import _optim, baselines, hawkes
 from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
-from tagburst.hawkes import (HawkesParams, _decay_state, compensator, decay_sums, fit_mle,
-                             fit_result_from_dict, fit_result_to_dict,
-                             intensity_at, log_likelihood,
+from tagburst.forecast import conditional_mean_count
+from tagburst.hawkes import (HawkesParams, _decay_state, _excitation, decay_sums, fit_mle,
+                             fit_result_from_dict, fit_result_to_dict, log_likelihood,
                              log_likelihood_gradient, make_fit_result,
                              rescaled_residuals)
 from tagburst.simulate import SimConfig, simulate_hawkes
@@ -22,6 +22,14 @@ P = HawkesParams(mu=0.5, beta=1.0, omega=2.0)
 
 def random_times(rng, n, T):
     return np.sort(rng.uniform(0.0, T, size=n))
+
+
+def likelihood_compensator(p, times, T):
+    """Lambda(T) as log_likelihood subtracts it: the log-sum of the
+    intensities at the events minus the log-likelihood over [0, T]."""
+    times = np.asarray(times, dtype=float)
+    logsum = float(np.sum(np.log(p.mu + p.beta * decay_sums(times, p.omega))))
+    return logsum - log_likelihood(p, times, T)
 
 
 def random_params(rng, subcritical=True):
@@ -50,25 +58,30 @@ class TestParams:
 
 
 class TestIntensity:
+    """mu + _excitation is the intensity the forecast and the simulator start from."""
+
     def test_worked_example(self):
-        assert intensity_at(P, [1.0], 1.5) == pytest.approx(
-            0.8678794411714423, rel=1e-15)
+        for lam in (P.mu + _excitation(P, np.array([1.0]), 1.5),
+                    direct_intensity(P.mu, P.beta, P.omega, [1.0], 1.5)):
+            assert lam == pytest.approx(0.8678794411714423, rel=1e-15)
 
     def test_empty_history_gives_mu(self):
-        assert intensity_at(P, [], 3.0) == 0.5
+        assert P.mu + _excitation(P, np.array([]), 3.0) == 0.5
 
     def test_event_at_t_counts_at_full_weight(self):
-        assert intensity_at(P, [1.0], 1.0) == pytest.approx(1.5, rel=1e-15)
+        assert P.mu + _excitation(P, np.array([1.0]), 1.0) == pytest.approx(1.5, rel=1e-15)
 
     def test_future_history_rejected(self):
-        with pytest.raises(ValueError):
-            intensity_at(P, [1.0, 2.0], 1.5)
+        with pytest.raises(ValueError, match="history"):
+            conditional_mean_count(P, [1.0, 2.0], 1.5, 1.0)
+        with pytest.raises(ValueError, match="history"):
+            SimConfig(seed=0, t_start=1.5, t_end=3.0, history=(1.0, 2.0))
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         hist = random_times(rng, 40, 9.0)
         for t in (9.0, 9.5, 12.0):
-            assert intensity_at(P, hist, t) == pytest.approx(
+            assert P.mu + _excitation(P, hist, t) == pytest.approx(
                 direct_intensity(P.mu, P.beta, P.omega, hist, t), rel=1e-12)
 
 
@@ -109,18 +122,23 @@ class TestDecaySums:
 
 
 class TestCompensator:
+    """The compensator the likelihood subtracts and the residuals difference."""
+
     def test_worked_example(self):
-        assert compensator(P, [1.0, 1.5], 2.0) == pytest.approx(
+        assert direct_compensator(P.mu, P.beta, P.omega, [1.0, 1.5], 2.0) == pytest.approx(
             1.7483926377959724, rel=1e-15)
+        assert likelihood_compensator(P, [1.0, 1.5], 2.0) == pytest.approx(
+            1.7483926377959724, rel=1e-14)
 
     def test_zero_at_time_zero(self):
-        assert compensator(P, [], 0.0) == 0.0
+        # an event at time zero has residual Lambda(0) - 0
+        assert rescaled_residuals(P, [0.0, 1.0])[0] == 0.0
 
     def test_monotone_in_t(self):
         rng = np.random.default_rng(23)
         hist = random_times(rng, 30, 10.0)
-        grid = np.linspace(0.0, 14.0, 57)
-        vals = [compensator(P, hist, float(t)) for t in grid]
+        grid = np.linspace(0.0, 14.0, 57)[1:]
+        vals = [likelihood_compensator(P, hist[hist < t], float(t)) for t in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_matches_direct_formula(self):
@@ -129,7 +147,7 @@ class TestCompensator:
             p = random_params(rng, subcritical=False)
             t = random_times(rng, int(rng.integers(1, 50)), 8.0)
             at = float(rng.uniform(8.0, 12.0))
-            assert compensator(p, t, at) == pytest.approx(
+            assert likelihood_compensator(p, t, at) == pytest.approx(
                 direct_compensator(p.mu, p.beta, p.omega, t, at), rel=1e-12)
 
 
@@ -163,7 +181,8 @@ class TestLogLikelihood:
         rng = np.random.default_rng(41)
         times = random_times(rng, 25, 6.0)
         logsum = sum(np.log(P.mu + P.beta * a) for a in decay_sums(times, P.omega))
-        assert log_likelihood(P, times, 7.0) == logsum - compensator(P, times, 7.0)
+        assert log_likelihood(P, times, 7.0) == pytest.approx(
+            logsum - direct_compensator(P.mu, P.beta, P.omega, times, 7.0), rel=1e-14)
 
     def test_rejects_unsorted_and_out_of_range(self):
         with pytest.raises(ValueError):
@@ -213,7 +232,7 @@ class TestResiduals:
         res = rescaled_residuals(P, times)
         assert np.all(res >= 0.0)
         assert res.sum() == pytest.approx(
-            compensator(P, times, float(times[-1])), rel=1e-10)
+            direct_compensator(P.mu, P.beta, P.omega, times, float(times[-1])), rel=1e-10)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

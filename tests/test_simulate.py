@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mc_reference import simulate_nhpp
+from oracles import validate_stream
 from tagburst.hawkes import HawkesParams, fit_mle
-from tagburst.ingest import validate_stream
 from tagburst.simulate import (ClusterSpec, PopularityModel, SimConfig,
                                SYNTH_ORIGIN, default_corpus_spec, derive_seed,
                                make_synthetic_corpus, simulate_hawkes)

@@ -2,8 +2,9 @@
 simplex for the points the polish cannot certify.
 
 Parameters live in log space so positivity is structural.  The objective is
-``fun(x, grad)``: the negated (value, gradient) pair when ``grad`` is true,
-the negated value alone when it is false.
+``fun(x) -> (f, g)``: the negated value and its gradient, from one body.
+Each stage takes what it needs of that pair: L-BFGS-B both, the polish the
+gradients, Nelder-Mead the values.
 
 Every fit takes one of three routes, recorded in ``MaxResult.route``:
 
@@ -17,8 +18,8 @@ Every fit takes one of three routes, recorded in ``MaxResult.route``:
   below POLISH_TOL.
 - ``lbfgsb+simplex``: the polish fails (indefinite Hessian, no descent, or
   still not below GRAD_TOL), so Nelder-Mead restarts from the polish's
-  point.  It asks for values only.  On the measured corpora this happens on
-  boundary fits (beta near its floor) and on the stalled line search of
+  point.  On the measured corpora this happens on boundary fits (beta near
+  its floor) and on the stalled line search of
   ``test_simplex_fallback_rescues_stalled_line_search``.
 
 One convergence rule holds on every route: ``converged`` means the gradient
@@ -77,14 +78,14 @@ def _newton_polish(fun, x: np.ndarray, f: float, g: np.ndarray,
     steps = 0
     eye = np.eye(x.size) * HESS_STEP
     while steps < NEWTON_STEPS and np.max(np.abs(g)) >= POLISH_TOL:
-        H = np.array([fun(x + e, True)[1] - fun(x - e, True)[1] for e in eye])
+        H = np.array([fun(x + e)[1] - fun(x - e)[1] for e in eye])
         H = (H + H.T) / (4.0 * HESS_STEP)
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError:
             break
         x_new = np.clip(x - np.linalg.solve(H, g), lo, hi)
-        f_new, g_new = fun(x_new, True)
+        f_new, g_new = fun(x_new)
         if not f_new <= f + _RISE_TOL * abs(f):
             break
         x, f, g = x_new, float(f_new), np.asarray(g_new)
@@ -92,13 +93,13 @@ def _newton_polish(fun, x: np.ndarray, f: float, g: np.ndarray,
     return x, f, g, steps
 
 
-def maximize(fun: Callable[[np.ndarray, bool], tuple[float, np.ndarray] | float],
+def maximize(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
              x0: Sequence[float],
              bounds: Sequence[tuple[float, float]] | None = None) -> MaxResult:
-    """Maximize the objective whose negation ``fun(x, grad)`` returns."""
+    """Maximize the objective whose negation and gradient ``fun(x)`` returns."""
     minimize = _module.minimize
     x0 = np.asarray(x0, dtype=float)
-    res = minimize(lambda v: fun(v, True), x0, jac=True, method="L-BFGS-B", bounds=bounds,
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                    options={"maxiter": MAX_ITER, "ftol": 1e-12, "gtol": GRAD_TOL})
     x, best, g, n_iter = np.asarray(res.x), float(res.fun), np.asarray(res.jac), int(res.nit)
     route = "lbfgsb"
@@ -110,13 +111,13 @@ def maximize(fun: Callable[[np.ndarray, bool], tuple[float, np.ndarray] | float]
         route = "lbfgsb+newton"
         if np.max(np.abs(g)) >= GRAD_TOL:
             route = "lbfgsb+simplex"
-            res2 = minimize(lambda v: fun(v, False), x, method="Nelder-Mead",
+            res2 = minimize(lambda v: fun(v)[0], x, method="Nelder-Mead",
                             bounds=bounds,
                             options={"maxiter": MAX_ITER, "xatol": 1e-10, "fatol": 1e-12})
             n_iter += int(res2.nit)
             if res2.fun <= best:
                 x, best = np.asarray(res2.x), float(res2.fun)
-                g = np.asarray(fun(x, True)[1])
+                g = np.asarray(fun(x)[1])
 
     grad_max = float(np.max(np.abs(g)))
     return MaxResult(x, -best, grad_max < GRAD_TOL, n_iter, route, grad_max)

@@ -39,24 +39,16 @@ def _prior_means(reference: Sequence[Event], w_comments: float,
     """Per reference video, the mean popularity of its uploader's reference
     uploads; causal means strictly earlier uploads only, an empty history
     averages to zero."""
-    by_video: dict[str, float] = {}
+    running: dict[str, tuple[float, int]] = {}
+    earlier: dict[str, float] = {}
+    for e in reference:
+        total, count = running.get(e.uploader_id, (0.0, 0))
+        earlier[e.video_id] = total / count if count else 0.0
+        running[e.uploader_id] = (total + e.n_views + w_comments * e.n_comments, count + 1)
     if causal:
-        running: dict[str, tuple[float, int]] = {}
-        for e in reference:
-            total, count = running.get(e.uploader_id, (0.0, 0))
-            by_video[e.video_id] = total / count if count else 0.0
-            running[e.uploader_id] = (total + e.n_views + w_comments * e.n_comments,
-                                      count + 1)
-    else:
-        totals: dict[str, tuple[float, int]] = {}
-        for e in reference:
-            total, count = totals.get(e.uploader_id, (0.0, 0))
-            totals[e.uploader_id] = (total + e.n_views + w_comments * e.n_comments,
-                                     count + 1)
-        means = {u: total / count for u, (total, count) in totals.items()}
-        for e in reference:
-            by_video[e.video_id] = means[e.uploader_id]
-    return by_video
+        return earlier
+    means = {u: total / count for u, (total, count) in running.items()}
+    return {e.video_id: means[e.uploader_id] for e in reference}
 
 
 def _prior_thresholds(cluster_events: Sequence[Event],

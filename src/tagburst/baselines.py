@@ -69,16 +69,13 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
         ll, int(rates.size), True, 0)
 
 
-def _drift_objective(x: np.ndarray, tau: np.ndarray, T: float,
-                     grad: bool) -> tuple[float, np.ndarray] | float:
+def _drift_objective(x: np.ndarray, tau: np.ndarray,
+                     T: float) -> tuple[float, np.ndarray]:
     """The drift fit objective: x holds the logs of the rate at 0 and at T,
-    tau the event times over T; (-ll, -gradient wrt x), or -ll alone when
-    not grad."""
+    tau the event times over T; (-ll, -gradient wrt x)."""
     b, r = np.exp(x)
     lam = b + (r - b) * tau
     ll = float(np.sum(np.log(lam))) - 0.5 * T * (b + r)
-    if not grad:
-        return -ll
     inv = 1.0 / lam
     d_b = float(np.sum((1.0 - tau) * inv)) - 0.5 * T
     d_r = float(np.sum(tau * inv)) - 0.5 * T
@@ -98,7 +95,7 @@ def fit_nhpp_drift(times: Sequence[float], T: float) -> FitResult:
         raise ValueError(f"drift fit needs at least 2 events, got {n}")
     tau = times / T
     x0 = np.log([n / T, n / T])
-    res = maximize(lambda v, grad: _drift_objective(v, tau, T, grad), x0,
+    res = maximize(lambda v: _drift_objective(v, tau, T), x0,
                    bounds=[(-60.0, 60.0), (-60.0, 60.0)])
     b, r = np.exp(res.x)
     slope = (r - b) / T

@@ -105,6 +105,18 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     return stream, clusters, meta
 
 
+def _require_current_fits(path: Path, fits_doc: dict,
+                          clusters: Sequence[GenreCluster]) -> None:
+    """Refuse a fits.json whose clusters and event counts are not the loaded ones."""
+    with _artifact_errors(path, "fit"):
+        fitted = {e["cluster_id"]: e["n_events"] for e in fits_doc["clusters"]}
+    current = {c.cluster_id: len(c.events) for c in clusters}
+    if fitted != current:
+        cid = next(k for k in [*current, *fitted] if fitted.get(k) != current.get(k))
+        raise ValueError(f"{path}: stale (cluster {cid}: {current.get(cid, 0)} events "
+                         f"clustered, {fitted.get(cid, 0)} fitted); rerun 'tagburst fit'")
+
+
 def cmd_simulate(args) -> int:
     out = Path(args.out)
     stream, truth = simulate.make_synthetic_corpus(
@@ -216,6 +228,7 @@ def cmd_attribute(args) -> int:
     out = Path(args.out)
     fits_doc = _load_artifact(out / "fits.json", "fit")
     _, clusters, _ = _load_clusters(args)
+    _require_current_fits(out / "fits.json", fits_doc, clusters)
     with _artifact_errors(out / "fits.json", "fit"):
         fits = {entry["cluster_id"]: fit_result_from_dict(entry["hawkes"])
                 for entry in fits_doc["clusters"] if "error" not in entry["hawkes"]}
@@ -246,6 +259,7 @@ def cmd_report(args) -> int:
     forecast_doc = _load_artifact(out / "forecast.json", "forecast")
     attribution_doc = _load_artifact(out / "attribution.json", "attribute")
     _, clusters, _ = _load_clusters(args)
+    _require_current_fits(out / "fits.json", fits_doc, clusters)
 
     aic_rows = []
     with _artifact_errors(out / "fits.json", "fit"):

@@ -132,8 +132,8 @@ def holdout_log_likelihood(p: HawkesParams, history: Sequence[float],
     if test.size and (float(np.min(test)) <= t_start or float(np.max(test)) > t_end):
         raise ValueError("test events must lie in (t_start, t_end]")
     merged = _check_times(np.concatenate([history, test]))
-    return (_loglik_and_grad(p.mu, p.beta, p.omega, merged, t_end, grad=False)
-            - _loglik_and_grad(p.mu, p.beta, p.omega, history, t_start, grad=False))
+    return (_loglik_and_grad(p.mu, p.beta, p.omega, merged, t_end)[0]
+            - _loglik_and_grad(p.mu, p.beta, p.omega, history, t_start)[0])
 
 
 def _scored(predicted: float, actual: int) -> tuple[float, float, float]:

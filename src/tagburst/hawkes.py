@@ -148,44 +148,31 @@ def _check_times(times: Sequence[float], T: float | None = None) -> np.ndarray:
     return times
 
 
-def _decay_state(times: np.ndarray, omega: float,
-                 with_b: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """decay_sums A_i plus B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega.
-
-    B is None unless with_b; A is the same either way, bit for bit.
-    """
+def _decay_state(times: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """decay_sums A_i and B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega."""
     n = times.size
     A = np.zeros(n)
-    B = np.zeros(n) if with_b else None
+    B = np.zeros(n)
     ts = times.tolist()
     exp = math.exp
-    av = memoryview(A)  # float stores into the array without numpy's __setitem__
-    a = 0.0
+    av, bv = memoryview(A), memoryview(B)  # float stores without numpy's __setitem__
+    a = b = 0.0
     prev = ts[0] if n else 0.0
-    if with_b:
-        bv = memoryview(B)
-        b = 0.0
-        for i in range(1, n):
-            t = ts[i]
-            d = t - prev
-            prev = t
-            r = exp(-omega * d)
-            b = r * (b + d * (a + 1.0))  # uses the previous a
-            a = r * (a + 1.0)
-            av[i] = a
-            bv[i] = b
-    else:
-        for i in range(1, n):
-            t = ts[i]
-            a = exp(-omega * (t - prev)) * (a + 1.0)
-            prev = t
-            av[i] = a
+    for i in range(1, n):
+        t = ts[i]
+        d = t - prev
+        prev = t
+        r = exp(-omega * d)
+        b = r * (b + d * (a + 1.0))  # uses the previous a
+        a = r * (a + 1.0)
+        av[i] = a
+        bv[i] = b
     return A, B
 
 
 def decay_sums(times: np.ndarray, omega: float) -> np.ndarray:
     """A_i = sum_{j<i} exp(-omega (t_i - t_j)) via the O(n) recursion."""
-    return _decay_state(times, omega, with_b=False)[0]
+    return _decay_state(times, omega)[0]
 
 
 def _excitation(p: HawkesParams, history: np.ndarray, t: float) -> float:
@@ -194,22 +181,22 @@ def _excitation(p: HawkesParams, history: np.ndarray, t: float) -> float:
 
 
 def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
-                     T: float, grad: bool) -> tuple[float, np.ndarray] | float:
-    """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega);
-    the log-likelihood alone when not grad."""
-    A, B = _decay_state(times, omega, with_b=grad)
+                     T: float) -> tuple[float, np.ndarray]:
+    """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega)."""
+    A, B = _decay_state(times, omega)
     lam = mu + beta * A
     tail = T - times
     s0 = float(np.sum(-np.expm1(-omega * tail)))
     ll = float(np.sum(np.log(lam))) - mu * T - (beta / omega) * s0
-    if not grad:
-        return ll
     inv = 1.0 / lam
     expd = np.exp(-omega * tail)
     s1 = float(np.sum(tail * expd))
     d_mu = float(np.sum(inv)) - T
     d_beta = float(np.sum(A * inv)) - s0 / omega
-    d_omega = -beta * float(np.sum(B * inv)) + beta * s0 / omega ** 2 - (beta / omega) * s1
+    # numpy's power gives inf or 0 where a float's raises, so no finite omega
+    # makes the value fail for the sake of its gradient
+    d_omega = -beta * float(np.sum(B * inv)) + beta * s0 / np.float64(omega) ** 2 \
+        - (beta / omega) * s1
     return ll, np.array([d_mu, d_beta, d_omega])
 
 
@@ -217,22 +204,20 @@ def log_likelihood(p: HawkesParams, times: Sequence[float], T: float) -> float:
     """Exact log-likelihood of the event times over [0, T] in O(n): the
     value fit_mle maximizes."""
     times = _check_times(times, T)
-    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T, grad=False)
+    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T)[0]
 
 
 def log_likelihood_gradient(p: HawkesParams, times: Sequence[float], T: float) -> np.ndarray:
     """Analytic gradient of the log-likelihood wrt (mu, beta, omega)."""
     times = _check_times(times, T)
-    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T, grad=True)[1]
+    return _loglik_and_grad(p.mu, p.beta, p.omega, times, T)[1]
 
 
-def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray, T: float,
-                     grad: bool) -> tuple[float, np.ndarray] | float:
-    """The fit objective in log space: (-ll, -gradient), or -ll alone when not grad."""
+def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray,
+                     T: float) -> tuple[float, np.ndarray]:
+    """The fit objective in log space: (-ll, -gradient)."""
     theta = np.exp(x)
-    if not grad:
-        return -_loglik_and_grad(*theta, times, T, grad=False)
-    ll, g = _loglik_and_grad(*theta, times, T, grad=True)
+    ll, g = _loglik_and_grad(*theta, times, T)
     # chain rule onto log-parameters
     return -ll, -g * theta
 
@@ -256,7 +241,7 @@ def fit_mle(times: Sequence[float], T: float) -> FitResult:
     x0 = np.log([0.5 * n / T, max(0.5 * omega0, BETA_FLOOR), omega0])
     bounds = [(-60.0, 60.0), (math.log(BETA_FLOOR), 60.0), (-60.0, 60.0)]
 
-    res = maximize(lambda v, grad: _neg_ll_and_grad(v, times, T, grad), x0, bounds=bounds)
+    res = maximize(lambda v: _neg_ll_and_grad(v, times, T), x0, bounds=bounds)
     mu, beta, omega = np.exp(res.x)
     params = HawkesParams(mu=float(mu), beta=float(beta), omega=float(omega))
 

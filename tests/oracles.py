@@ -203,7 +203,7 @@ def simplex_fallback_maximize(fun, x0, bounds=None, grad_tol=1e-6, max_iter=500)
     from scipy.optimize import minimize
     x0 = np.asarray(x0, dtype=float)
     trace = [x0.copy()]
-    res = minimize(lambda v: fun(v, True), x0, jac=True, method="L-BFGS-B", bounds=bounds,
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                    callback=lambda xk: trace.append(np.array(xk)),
                    options={"maxiter": max_iter, "ftol": 1e-12, "gtol": grad_tol})
     x, best, n_iter = np.asarray(res.x), float(res.fun), int(res.nit)
@@ -212,7 +212,7 @@ def simplex_fallback_maximize(fun, x0, bounds=None, grad_tol=1e-6, max_iter=500)
     converged = gnorm < grad_tol or step < STEP_TOL
 
     if not converged:
-        res2 = minimize(lambda v: fun(v, False), x, method="Nelder-Mead",
+        res2 = minimize(lambda v: fun(v)[0], x, method="Nelder-Mead",
                         bounds=bounds,
                         options={"maxiter": max_iter, "xatol": 1e-10, "fatol": 1e-12})
         n_iter += int(res2.nit)
@@ -220,7 +220,7 @@ def simplex_fallback_maximize(fun, x0, bounds=None, grad_tol=1e-6, max_iter=500)
             x, best = np.asarray(res2.x), float(res2.fun)
             # the gradient is needed only when the simplex hit its iteration cap
             converged = bool(res2.success) or \
-                float(np.max(np.abs(fun(x, True)[1]))) < grad_tol
+                float(np.max(np.abs(fun(x)[1]))) < grad_tol
 
     return x, -best, bool(converged), n_iter
 

@@ -29,12 +29,46 @@ print(json.dumps({"missing": missing,
                   "unproducible": [n for n in declared if n not in producible]}))
 """
 
+# Runs the README pipeline in OUT through every hook; prints the span names
+# and each annotation error with the name of its span.
+ANNOTATED = r"""
+import json, sys
+import traced_stage
+from tagburst.cli import main
 
-def test_every_declared_per_layer_metric_is_producible():
+out = sys.argv[1]
+events = f"{out}/events.jsonl"
+tracer = traced_stage.Tracer("annotate-check")
+traced_stage.install(tracer)
+for argv in (["simulate", "--out", out, "--seed", "0", "--t-days", "120"],
+             ["cluster", "--input", events, "--out", out, "--eta", "2"],
+             ["fit", "--input", events, "--out", out],
+             ["forecast", "--input", events, "--out", out, "--train-days", "60"],
+             ["attribute", "--input", events, "--out", out]):
+    assert tracer.call(f"cli.{argv[0]}", None, main, (argv,), {}) == 0, argv
+print(json.dumps({"names": sorted({s["name"] for s in tracer.spans}),
+                  "errors": [[s["name"], s["attrs"]["annotate_error"]]
+                             for s in tracer.spans if "annotate_error" in s["attrs"]]}))
+"""
+
+
+def run_in_perfbench(script, *argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", PRODUCIBLE], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_every_declared_per_layer_metric_is_producible():
+    result = run_in_perfbench(PRODUCIBLE)
     assert result == {"missing": [], "unproducible": []}
+
+
+def test_every_span_annotator_reads_its_result(tmp_path):
+    result = run_in_perfbench(ANNOTATED, str(tmp_path / "run"))
+    # each annotator ran at least once, on the result of the function it hooks
+    assert {"ingest.parse_events", "hawkes.fit_mle", "optim.maximize", "optim.minimize",
+            "baselines.minimize", "attribution.attribution_report"} <= set(result["names"])
+    assert result["errors"] == []

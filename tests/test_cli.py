@@ -320,6 +320,23 @@ class TestReport:
         return run("report", "--input", str(corpus / "events.jsonl"),
                    "--out", str(corpus))
 
+    @pytest.mark.parametrize("stage", ["attribute", "report"])
+    def test_fits_of_other_clusters_are_stale(self, corpus, capsys, stage):
+        events = str(corpus / "events.jsonl")
+        assert self.full_pipeline(corpus) == 0
+        # move the first video to the next cluster, as a rerun of cluster may
+        path = corpus / "assignments.csv"
+        rows = read_csv(path)
+        n_clusters = len({r["cluster_id"] for r in rows})
+        rows[0]["cluster_id"] = str((int(rows[0]["cluster_id"]) + 1) % n_clusters)
+        path.write_text("video_id,cluster_id\n" +
+                        "".join(f"{r['video_id']},{r['cluster_id']}\n" for r in rows))
+        capsys.readouterr()
+        assert run(stage, "--input", events, "--out", str(corpus)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus / 'fits.json'}: stale (cluster ")
+        assert err.endswith("; rerun 'tagburst fit'\n") and err.count("\n") == 1
+
     def test_collates_all_artifacts(self, corpus):
         assert self.full_pipeline(corpus) == 0
         report = read_json(corpus / "report.json")

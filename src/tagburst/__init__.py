@@ -8,8 +8,8 @@ activity to self-reinforcement, popularity, and exogenous factors.
 """
 
 from .attribution import AttributionReport, attribution_report
-from .baselines import (ArimaLiteParams, fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp,
-                        fit_poisson, forecast_arima)
+from .baselines import (fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson,
+                        forecast_arima)
 from .forecast import (EvaluationTable, SplitSpec, conditional_mean_count, default_split,
                        evaluate_all, expected_count, holdout_log_likelihood, split_stream)
 from .hawkes import (FitResult, HawkesParams, fit_mle, log_likelihood,

@@ -51,18 +51,6 @@ def _prior_means(reference: Sequence[Event], w_comments: float,
     return {e.video_id: means[e.uploader_id] for e in reference}
 
 
-def _prior_thresholds(cluster_events: Sequence[Event],
-                      prior_means: Mapping[str, float]) -> np.ndarray:
-    """Per cluster event, its entry in the reference's ``_prior_means``."""
-    out = np.empty(len(cluster_events))
-    for k, e in enumerate(cluster_events):
-        if e.video_id not in prior_means:
-            raise ValueError(
-                f"reference stream is missing cluster video {e.video_id!r}")
-        out[k] = prior_means[e.video_id]
-    return out
-
-
 def _pair_sums(p: HawkesParams, times: np.ndarray, uploaders: Sequence[str],
                psi: np.ndarray, thresholds: np.ndarray) -> tuple[float, float, float, int]:
     """One truncated pass over recent pairs: returns (denominator,
@@ -135,9 +123,9 @@ def attribution_report(clusters: Sequence[GenreCluster],
         events = c.events.events
         uploaders = [e.uploader_id for e in events]
         psi = _psi_values(events, w_comments)
-        thresholds = _prior_thresholds(
-            events, platform_means if platform_means is not None
-            else _prior_means(events, w_comments, causal))
+        means = platform_means if platform_means is not None \
+            else _prior_means(events, w_comments, causal)
+        thresholds = np.array([means[e.video_id] for e in events], dtype=float)
         try:
             if fit is None:
                 raise ValueError("no usable fit")

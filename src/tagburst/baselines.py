@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._optim import MAX_ITER, lazy_minimize, maximize
-from .hawkes import FitResult, _check_times, make_fit_result
+from .hawkes import FitResult, _check_times
 
 __all__ = [
-    "ArimaLiteParams",
     "fit_poisson",
     "fit_pc_nhpp",
     "fit_nhpp_drift",
@@ -42,7 +40,7 @@ def fit_poisson(times: Sequence[float], T: float) -> FitResult:
         raise ValueError("Poisson MLE is undefined on an empty stream")
     mu = n / T
     ll = n * (math.log(mu) - 1.0)
-    return make_fit_result("poisson", {"mu": mu}, ll, 1, True, 0)
+    return FitResult("poisson", {"mu": mu}, ll, 1, True, 0)
 
 
 def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> FitResult:
@@ -62,7 +60,7 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
     rates = counts / widths
     occupied = counts > 0
     ll = float(np.sum(counts[occupied] * (np.log(rates[occupied]) - 1.0)))
-    return make_fit_result(
+    return FitResult(
         "pc_nhpp",
         {"bin_edges": [float(x) for x in edges], "rates": [float(r) for r in rates],
          "bin_width": float(bin_width)},
@@ -99,20 +97,9 @@ def fit_nhpp_drift(times: Sequence[float], T: float) -> FitResult:
                    bounds=[(-60.0, 60.0), (-60.0, 60.0)])
     b, r = np.exp(res.x)
     slope = (r - b) / T
-    return make_fit_result(
+    return FitResult(
         "nhpp_drift", {"mu_slope": float(slope), "b_intercept": float(b)},
         res.value, 2, res.converged, res.n_iter, optimizer=res.route, grad_max=res.grad_max)
-
-
-@dataclass(frozen=True)
-class ArimaLiteParams:
-    p: int
-    d: int
-    q: int
-    ar: tuple[float, ...]
-    ma: tuple[float, ...]
-    intercept: float
-    sigma2: float
 
 
 def _css_residuals(y: Sequence[float], p: int, q: int, c: float,
@@ -181,7 +168,7 @@ def _css_fit_one(y: np.ndarray, p: int, q: int) -> tuple[np.ndarray, bool, int]:
 
 
 def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
-                   max_q: int = 2) -> tuple[ArimaLiteParams, FitResult]:
+                   max_q: int = 2) -> FitResult:
     """Grid-search ARIMA(p, d, q) with p <= max_p, d <= max_d, q <= max_q <= 2.
 
     Each candidate is fit by conditional least squares; the Gaussian
@@ -198,7 +185,7 @@ def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
         raise ValueError(f"need a daily count series of length >= 20, got {counts.size}")
 
     best: tuple[float, int, int, int] | None = None
-    best_payload = None
+    best_fit = None
     diffed = {d: np.diff(counts, n=d) if d else counts for d in range(max_d + 1)}
     for p, d, q in product(range(max_p + 1), range(max_d + 1), range(max_q + 1)):
         y = diffed[d]
@@ -211,53 +198,47 @@ def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
         n_eff = eps.size
         sigma2 = max(float(np.dot(eps, eps)) / n_eff, _SIGMA2_FLOOR)
         ll = -0.5 * n_eff * (math.log(2.0 * math.pi * sigma2) + 1.0)
-        k = p + q + 2
-        aic = 2.0 * k - 2.0 * ll
-        key = (aic, p, d, q)
+        fit = FitResult(
+            "arima_lite",
+            {"p": p, "d": d, "q": q, "ar": [float(v) for v in phi],
+             "ma": [float(v) for v in theta], "intercept": c, "sigma2": sigma2},
+            ll, p + q + 2, ok, n_iter, warnings=("ma_clamped",) if clamped else ())
+        key = (fit.aic, p, d, q)
         if best is None or key < best:
-            best = key
-            best_payload = (p, d, q, tuple(float(v) for v in phi),
-                            tuple(float(v) for v in theta), c, sigma2, ll, k,
-                            ok, n_iter, clamped)
-
-    p, d, q, phi, theta, c, sigma2, ll, k, ok, n_iter, clamped = best_payload
-    params = ArimaLiteParams(p=p, d=d, q=q, ar=phi, ma=theta, intercept=c, sigma2=sigma2)
-    fit = make_fit_result(
-        "arima_lite",
-        {"p": p, "d": d, "q": q, "ar": list(phi), "ma": list(theta),
-         "intercept": c, "sigma2": sigma2},
-        ll, k, ok, n_iter, warnings=("ma_clamped",) if clamped else ())
-    return params, fit
+            best, best_fit = key, fit
+    return best_fit
 
 
-def forecast_arima(params: ArimaLiteParams, counts: Sequence[float],
+def forecast_arima(params: Mapping[str, object], counts: Sequence[float],
                    horizon: int) -> np.ndarray:
-    """Iterated h-step forecast with future innovations at zero, undoing the
+    """Iterated h-step forecast from an arima_lite fit's params (p, d, q, ar,
+    ma, intercept) with future innovations at zero, undoing the
     differencing; returns one level per future day."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    p, d, q = params["p"], params["d"], params["q"]
+    ar, ma, intercept = params["ar"], params["ma"], params["intercept"]
     counts = np.asarray(counts, dtype=float)
-    y = np.diff(counts, n=params.d) if params.d else counts
-    if y.size < params.p:
-        raise ValueError(f"ARIMA({params.p}, {params.d}, {params.q}) forecast needs at least "
-                         f"{params.p + params.d} observed counts, got {counts.size}")
-    eps_obs = _css_residuals(y, params.p, params.q, params.intercept,
-                             params.ar, params.ma)
+    y = np.diff(counts, n=d) if d else counts
+    if y.size < p:
+        raise ValueError(f"ARIMA({p}, {d}, {q}) forecast needs at least "
+                         f"{p + d} observed counts, got {counts.size}")
+    eps_obs = _css_residuals(y, p, q, intercept, ar, ma)
     ys = y.tolist()
-    eps = [0.0] * params.p + eps_obs.tolist()
+    eps = [0.0] * p + eps_obs.tolist()
     preds = []
     for _ in range(horizon):
         t = len(ys)
-        acc = params.intercept
-        for i in range(params.p):
-            acc += params.ar[i] * ys[t - 1 - i]
-        for j in range(params.q):
+        acc = intercept
+        for i in range(p):
+            acc += ar[i] * ys[t - 1 - i]
+        for j in range(q):
             k = t - 1 - j
             if k >= 0:
-                acc += params.ma[j] * eps[k]
+                acc += ma[j] * eps[k]
         ys.append(acc)
         eps.append(0.0)
         preds.append(acc)
-    if params.d:
+    if d:
         return counts[-1] + np.cumsum(preds)
     return np.asarray(preds)

@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import attribution, baselines, forecast, simulate, taggraph
-from .hawkes import _params_from_fit, fit_mle, fit_result_from_dict, fit_result_to_dict
+from .hawkes import (FitResult, _params_from_fit, fit_mle, fit_result_from_dict,
+                     fit_result_to_dict)
 from .ingest import ParseError, parse_events, write_events
 from .taggraph import GenreCluster
 
@@ -105,16 +106,36 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     return stream, clusters, meta
 
 
-def _require_current_fits(path: Path, fits_doc: dict,
-                          clusters: Sequence[GenreCluster]) -> None:
-    """Refuse a fits.json whose clusters and event counts are not the loaded ones."""
-    with _artifact_errors(path, "fit"):
-        fitted = {e["cluster_id"]: e["n_events"] for e in fits_doc["clusters"]}
+def _load_current(path: Path, produced_by: str, clusters: Sequence[GenreCluster]) -> dict:
+    """Load an artifact, refusing it when its {cluster_id, n_events} entries
+    under "clusters" are not the loaded clusters and their event counts."""
+    doc = _load_artifact(path, produced_by)
+    with _artifact_errors(path, produced_by):
+        stored = {e["cluster_id"]: e["n_events"] for e in doc["clusters"]}
     current = {c.cluster_id: len(c.events) for c in clusters}
-    if fitted != current:
-        cid = next(k for k in [*current, *fitted] if fitted.get(k) != current.get(k))
+    if stored != current:
+        cid = next(k for k in [*current, *stored] if stored.get(k) != current.get(k))
         raise ValueError(f"{path}: stale (cluster {cid}: {current.get(cid, 0)} events "
-                         f"clustered, {fitted.get(cid, 0)} fitted); rerun 'tagburst fit'")
+                         f"clustered, {stored.get(cid, 0)} in {path.name}); "
+                         f"rerun 'tagburst {produced_by}'")
+    return doc
+
+
+def _load_fits(out: Path, clusters: Sequence[GenreCluster]) \
+        -> tuple[dict, dict[int, tuple[FitResult | None, FitResult | None]]]:
+    """fits.json and each cluster's (hawkes, poisson) fits, None where a fit
+    failed; refuses a stale file or a Hawkes parameter that is not a number."""
+    path = out / "fits.json"
+    doc = _load_current(path, "fit", clusters)
+    fits = {}
+    with _artifact_errors(path, "fit"):
+        for entry in doc["clusters"]:
+            hawkes, poisson = (None if "error" in entry[m] else fit_result_from_dict(entry[m])
+                               for m in ("hawkes", "poisson"))
+            if hawkes is not None:
+                _params_from_fit(hawkes)
+            fits[entry["cluster_id"]] = (hawkes, poisson)
+    return doc, fits
 
 
 def cmd_simulate(args) -> int:
@@ -202,6 +223,8 @@ def cmd_forecast(args) -> int:
         "horizon_days": spec.horizon_days,
         "split_point": spec.split_point,
         "models": sorted(set(models)),
+        "clusters": [{"cluster_id": c.cluster_id, "n_events": len(c.events)}
+                     for c in clusters],
         "rows": [vars(r) for r in table.rows],
         "aggregates": table.aggregates,
         "exclusions": [{"cluster_id": cid, "reason": reason}
@@ -226,19 +249,14 @@ def _factor_rows(records: Sequence[dict]) -> list[list]:
 
 def cmd_attribute(args) -> int:
     out = Path(args.out)
-    fits_doc = _load_artifact(out / "fits.json", "fit")
     _, clusters, _ = _load_clusters(args)
-    _require_current_fits(out / "fits.json", fits_doc, clusters)
-    with _artifact_errors(out / "fits.json", "fit"):
-        fits = {entry["cluster_id"]: fit_result_from_dict(entry["hawkes"])
-                for entry in fits_doc["clusters"] if "error" not in entry["hawkes"]}
-        for fit in fits.values():
-            _params_from_fit(fit)  # a parameter that is not a number is malformed
+    fits = {cid: hawkes for cid, (hawkes, _) in _load_fits(out, clusters)[1].items()
+            if hawkes is not None}
     reports = attribution.attribution_report(
         clusters, fits, w_comments=args.w_comments, pop_scope=args.pop_scope,
         causal=not args.all_time_average)
 
-    records = [vars(r) for r in reports]
+    records = [{"n_events": len(c.events), **vars(r)} for c, r in zip(clusters, reports)]
     _write_json(out / "attribution.json", {
         "w_comments": args.w_comments,
         "pop_scope": args.pop_scope,
@@ -254,20 +272,14 @@ def cmd_attribute(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    clusters_doc = _load_artifact(out / "clusters.json", "cluster")
-    fits_doc = _load_artifact(out / "fits.json", "fit")
-    forecast_doc = _load_artifact(out / "forecast.json", "forecast")
-    attribution_doc = _load_artifact(out / "attribution.json", "attribute")
-    _, clusters, _ = _load_clusters(args)
-    _require_current_fits(out / "fits.json", fits_doc, clusters)
+    _, clusters, clusters_doc = _load_clusters(args)
+    fits_doc, fits = _load_fits(out, clusters)
+    forecast_doc = _load_current(out / "forecast.json", "forecast", clusters)
+    attribution_doc = _load_current(out / "attribution.json", "attribute", clusters)
 
-    aic_rows = []
-    with _artifact_errors(out / "fits.json", "fit"):
-        for entry in fits_doc["clusters"]:
-            h, po = entry["hawkes"], entry["poisson"]
-            if "error" in h or "error" in po:
-                continue
-            aic_rows.append([entry["cluster_id"], h["aic"], po["aic"], h["aic"] - po["aic"]])
+    aic_rows = [[cid, hawkes.aic, poisson.aic, hawkes.aic - poisson.aic]
+                for cid, (hawkes, poisson) in fits.items()
+                if hawkes is not None and poisson is not None]
     _write_csv(out / "aic_diff.csv",
                ["cluster_id", "aic_hawkes", "aic_poisson", "aic_diff"], aic_rows)
 

@@ -215,10 +215,10 @@ def _nhpp_drift(train: np.ndarray, T: float, horizon: float,
 def _arima_lite(train: np.ndarray, T: float, horizon: float,
                 bin_width: float) -> tuple[FitResult, float]:
     counts = _daily_counts(train, T)
-    params, fit = baselines.fit_arima_lite(counts)
+    fit = baselines.fit_arima_lite(counts)
     full_days = int(math.floor(horizon))
     frac = horizon - full_days
-    levels = baselines.forecast_arima(params, counts, full_days + (1 if frac else 0))
+    levels = baselines.forecast_arima(fit.params, counts, full_days + (1 if frac else 0))
     predicted = float(np.sum(levels[:full_days]))
     if frac:
         predicted += frac * float(levels[full_days])

@@ -31,7 +31,6 @@ from ._optim import maximize
 __all__ = [
     "HawkesParams",
     "FitResult",
-    "make_fit_result",
     "fit_result_to_dict",
     "fit_result_from_dict",
     "log_likelihood",
@@ -65,13 +64,12 @@ class HawkesParams:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted model summary; aic is always exactly 2*n_params - 2*log_likelihood."""
+    """Fitted model summary; its aic is derived from log_likelihood and n_params."""
 
     model: str
     params: dict
     log_likelihood: float
     n_params: int
-    aic: float
     converged: bool
     n_iterations: int
     branching_ratio: float | None = None
@@ -79,18 +77,9 @@ class FitResult:
     optimizer: str | None = None  # the _optim.maximize route, for fits that take one
     grad_max: float | None = None  # gradient sup-norm at the returned point
 
-
-def make_fit_result(model: str, params: Mapping[str, object], log_likelihood: float,
-                    n_params: int, converged: bool, n_iterations: int,
-                    branching_ratio: float | None = None,
-                    warnings: Sequence[str] = (), optimizer: str | None = None,
-                    grad_max: float | None = None) -> FitResult:
-    return FitResult(model=model, params=dict(params),
-                     log_likelihood=float(log_likelihood), n_params=int(n_params),
-                     aic=2.0 * n_params - 2.0 * float(log_likelihood),
-                     converged=bool(converged), n_iterations=int(n_iterations),
-                     branching_ratio=branching_ratio, warnings=tuple(warnings),
-                     optimizer=optimizer, grad_max=grad_max)
+    @property
+    def aic(self) -> float:
+        return 2.0 * self.n_params - 2.0 * self.log_likelihood
 
 
 def fit_result_to_dict(fit: FitResult) -> dict:
@@ -116,10 +105,10 @@ def fit_result_from_dict(d: Mapping[str, object]) -> FitResult:
     """Inverse of fit_result_to_dict: every key it does not reserve is a parameter."""
     reserved = ("model", "loglik", "aic", "n_params", "converged", "n_iter",
                 "optimizer", "grad_max", "branching_ratio", "warnings")
-    return make_fit_result(
-        d["model"], {k: v for k, v in d.items() if k not in reserved}, d["loglik"],
-        d["n_params"], d["converged"], d["n_iter"],
-        branching_ratio=d.get("branching_ratio"), warnings=d.get("warnings", ()),
+    return FitResult(
+        d["model"], {k: v for k, v in d.items() if k not in reserved}, float(d["loglik"]),
+        int(d["n_params"]), bool(d["converged"]), int(d["n_iter"]),
+        branching_ratio=d.get("branching_ratio"), warnings=tuple(d.get("warnings", ())),
         optimizer=d.get("optimizer"), grad_max=d.get("grad_max"))
 
 
@@ -217,7 +206,8 @@ def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray,
                      T: float) -> tuple[float, np.ndarray]:
     """The fit objective in log space: (-ll, -gradient)."""
     theta = np.exp(x)
-    ll, g = _loglik_and_grad(*theta, times, T)
+    # Python floats, not numpy scalars, keep _decay_state's loop fast
+    ll, g = _loglik_and_grad(*theta.tolist(), times, T)
     # chain rule onto log-parameters
     return -ll, -g * theta
 
@@ -250,10 +240,10 @@ def fit_mle(times: Sequence[float], T: float) -> FitResult:
         warnings.append("supercritical")
     if params.beta < _POISSON_BETA_RATIO * params.mu:
         warnings.append("effectively_poisson")
-    return make_fit_result(
+    return FitResult(
         "hawkes", {"mu": params.mu, "beta": params.beta, "omega": params.omega},
         res.value, 3, res.converged, res.n_iter,
-        branching_ratio=params.branching_ratio, warnings=warnings,
+        branching_ratio=params.branching_ratio, warnings=tuple(warnings),
         optimizer=res.route, grad_max=res.grad_max)
 
 

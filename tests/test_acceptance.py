@@ -22,8 +22,8 @@ from oracles import bfs_components, brute_attribution, central_difference, direc
 from tagburst.attribution import _pair_sums, attribution_report
 from tagburst.baselines import _drift_objective, fit_poisson
 from tagburst.forecast import SplitSpec, conditional_mean_count, holdout_log_likelihood, split_stream
-from tagburst.hawkes import (HawkesParams, fit_mle, log_likelihood, log_likelihood_gradient,
-                             make_fit_result, rescaled_residuals)
+from tagburst.hawkes import (FitResult, HawkesParams, fit_mle, log_likelihood,
+                             log_likelihood_gradient, rescaled_residuals)
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import SimConfig, default_corpus_spec, derive_seed, make_synthetic_corpus, simulate_hawkes
 from tagburst.taggraph import (GenreCluster, TagGraph, build_affinity_graph,
@@ -144,8 +144,8 @@ def test_05_attribution_normalization_oracle_and_exact_sum():
         worst_norm = max(worst_norm, abs(den - expected))
 
     p = HawkesParams(0.5, 1.0, 2.0)
-    fit = make_fit_result("hawkes", {"mu": p.mu, "beta": p.beta, "omega": p.omega},
-                          -1.0, 3, True, 5)
+    fit = FitResult("hawkes", {"mu": p.mu, "beta": p.beta, "omega": p.omega},
+                    -1.0, 3, True, 5)
     worst_score = 0.0
     for trial in range(8):
         r = np.random.default_rng(600 + trial)

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import brute_attribution, uploader_mean_thresholds
 from tagburst.attribution import AttributionReport, _pair_sums, attribution_report
-from tagburst.hawkes import HawkesParams, fit_mle, make_fit_result
+from tagburst.hawkes import FitResult, HawkesParams, fit_mle
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
 from tagburst.taggraph import GenreCluster, extract_clusters
@@ -42,8 +42,8 @@ def pair_probability(p, times, i, j):
 
 
 def hawkes_fit(p=P):
-    return make_fit_result("hawkes", {"mu": p.mu, "beta": p.beta, "omega": p.omega},
-                           -1.0, 3, True, 5)
+    return FitResult("hawkes", {"mu": p.mu, "beta": p.beta, "omega": p.omega},
+                     -1.0, 3, True, 5)
 
 
 def report_for(cluster, p=P, **kwargs):
@@ -174,8 +174,8 @@ class TestExoScore:
 
     def test_sum_is_exactly_one(self):
         rng = np.random.default_rng(17)
-        fit = make_fit_result("hawkes", {"mu": P.mu, "beta": P.beta, "omega": P.omega},
-                              -1.0, 3, True, 5)
+        fit = FitResult("hawkes", {"mu": P.mu, "beta": P.beta, "omega": P.omega},
+                        -1.0, 3, True, 5)
         for _ in range(200):
             c = random_cluster(rng, int(rng.integers(2, 25)))
             [r] = attribution_report([c], {0: fit})
@@ -222,8 +222,8 @@ class TestReport:
                                          EventStream(0.0, events, 30.0)))
         merged = sorted((e for c in clusters for e in c.events.events),
                         key=lambda e: (e.upload_time, e.video_id))
-        fit = make_fit_result("hawkes", {"mu": 0.5, "beta": 1.0, "omega": 2.0},
-                              -1.0, 3, True, 5)
+        fit = FitResult("hawkes", {"mu": 0.5, "beta": 1.0, "omega": 2.0},
+                        -1.0, 3, True, 5)
         reports = attribution_report(clusters, {c.cluster_id: fit for c in clusters},
                                      0.5, pop_scope=pop_scope, causal=causal)
 
@@ -256,8 +256,8 @@ class TestReport:
         clusters = self.synthetic_clusters()
         fits = fits_for(clusters)
         bad = fits[0]
-        fits[0] = make_fit_result(bad.model, bad.params, bad.log_likelihood,
-                                  bad.n_params, converged=False, n_iterations=500)
+        fits[0] = FitResult(bad.model, bad.params, bad.log_likelihood,
+                            bad.n_params, converged=False, n_iterations=500)
         reports = attribution_report(clusters, fits)
         assert not reports[0].attributable
         assert reports[0].s_self is None and reports[0].s_exo is None
@@ -266,8 +266,8 @@ class TestReport:
 
     def test_zero_beta_marked_not_attributable(self):
         c = make_cluster([1.0, 2.0, 3.0], ["u", "u", "u"])
-        fit = make_fit_result("hawkes", {"mu": 1.0, "beta": 0.0, "omega": 1.0},
-                              -1.0, 3, True, 5)
+        fit = FitResult("hawkes", {"mu": 1.0, "beta": 0.0, "omega": 1.0},
+                        -1.0, 3, True, 5)
         reports = attribution_report([c], {0: fit})
         assert reports == [AttributionReport(
             0, None, None, None, 0, 1.0, attributable=False,
@@ -277,21 +277,21 @@ class TestReport:
         # beta is noise next to mu: shares of its pair mass would mean nothing
         c = make_cluster([1.0, 1.5, 2.0, 2.5], ["u", "u", "v", "v"], views=[5, 50, 5, 50])
         params = {"mu": 1.0, "beta": 1e-9, "omega": 2.0}
-        noisy = make_fit_result("hawkes", params, -1.0, 3, True, 5,
-                                warnings=["effectively_poisson"])
+        noisy = FitResult("hawkes", params, -1.0, 3, True, 5,
+                          warnings=("effectively_poisson",))
         r = attribution_report([c], {0: noisy})[0]
         assert not r.attributable
         assert r.s_self is None and r.s_pop is None and r.s_exo is None
         assert r.note.startswith("not attributable: ") and "Poisson" in r.note
-        plain = make_fit_result("hawkes", params, -1.0, 3, True, 5)
+        plain = FitResult("hawkes", params, -1.0, 3, True, 5)
         assert attribution_report([c], {0: plain})[0].attributable
 
     def test_negative_exogenous_share_noted_not_renormalized(self):
         # one uploader with rising popularity: self and popularity overlap
         c = make_cluster([0.5, 1.0, 1.5, 2.0, 2.5], ["u"] * 5,
                          views=[10, 20, 40, 80, 160])
-        fit = make_fit_result("hawkes", {"mu": 0.2, "beta": 1.5, "omega": 2.0},
-                              -1.0, 3, True, 5)
+        fit = FitResult("hawkes", {"mu": 0.2, "beta": 1.5, "omega": 2.0},
+                        -1.0, 3, True, 5)
         reports = attribution_report([c], {0: fit})
         r = reports[0]
         assert r.s_self == 1.0
@@ -317,8 +317,8 @@ class TestReport:
             GenreCluster(0, frozenset({"x"}), EventStream(0.0, a_events, 10.0)),
             GenreCluster(1, frozenset({"y"}), EventStream(0.0, b_events, 10.0)),
         ]
-        fit = make_fit_result("hawkes", {"mu": 0.3, "beta": 1.0, "omega": 2.0},
-                              -1.0, 3, True, 5)
+        fit = FitResult("hawkes", {"mu": 0.3, "beta": 1.0, "omega": 2.0},
+                        -1.0, 3, True, 5)
         fits = {0: fit, 1: fit}
         platform = attribution_report(clusters, fits, pop_scope="platform")
         local = attribution_report(clusters, fits, pop_scope="cluster")

@@ -7,7 +7,7 @@ import pytest
 
 from mc_reference import simulate_nhpp
 from oracles import central_difference, drift_log_likelihood, loop_css_residuals
-from tagburst.baselines import (ArimaLiteParams, _css_residuals, _drift_objective,
+from tagburst.baselines import (_css_residuals, _drift_objective,
                                 fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson,
                                 forecast_arima)
 from tagburst.forecast import (POOLED_CLUSTER_ID, conditional_mean_count, default_split,
@@ -239,11 +239,11 @@ class TestArimaLite:
     def test_intercept_only_fits_the_mean(self):
         rng = np.random.default_rng(41)
         y = rng.normal(5.0, 1.0, size=60)
-        params, fit = fit_arima_lite(y, max_p=0, max_d=0, max_q=0)
-        assert params.intercept == pytest.approx(float(np.mean(y)), rel=1e-12)
+        fit = fit_arima_lite(y, max_p=0, max_d=0, max_q=0)
+        assert fit.params["intercept"] == pytest.approx(float(np.mean(y)), rel=1e-12)
         eps = y - np.mean(y)
         sigma2 = float(np.dot(eps, eps)) / y.size
-        assert params.sigma2 == pytest.approx(sigma2, rel=1e-12)
+        assert fit.params["sigma2"] == pytest.approx(sigma2, rel=1e-12)
         assert fit.log_likelihood == pytest.approx(
             -0.5 * y.size * (math.log(2 * math.pi * sigma2) + 1), rel=1e-12)
         assert fit.n_params == 2
@@ -251,26 +251,25 @@ class TestArimaLite:
     def test_recovers_ar1_coefficient(self):
         rng = np.random.default_rng(43)
         y = ar1_series(rng, 400, phi=0.7)
-        params, fit = fit_arima_lite(y, max_p=2, max_d=0, max_q=0)
-        assert params.p >= 1
-        assert params.ar[0] == pytest.approx(0.7, abs=0.12)
+        fit = fit_arima_lite(y, max_p=2, max_d=0, max_q=0)
+        assert fit.params["p"] >= 1
+        assert fit.params["ar"][0] == pytest.approx(0.7, abs=0.12)
 
     def test_aic_identity_and_model_name(self):
         rng = np.random.default_rng(47)
-        _, fit = fit_arima_lite(rng.normal(size=50))
+        fit = fit_arima_lite(rng.normal(size=50))
         assert fit.model == "arima_lite"
         assert fit.aic == 2 * fit.n_params - 2 * fit.log_likelihood
 
     def test_grid_choice_no_worse_than_intercept_only(self):
         rng = np.random.default_rng(53)
         y = ar1_series(rng, 120, phi=0.5)
-        _, full = fit_arima_lite(y)
-        _, flat = fit_arima_lite(y, max_p=0, max_d=0, max_q=0)
+        full = fit_arima_lite(y)
+        flat = fit_arima_lite(y, max_p=0, max_d=0, max_q=0)
         assert full.aic <= flat.aic + 1e-9
 
     def test_forecast_follows_ar_recursion(self):
-        params = ArimaLiteParams(p=1, d=0, q=0, ar=(0.5,), ma=(),
-                                 intercept=1.0, sigma2=1.0)
+        params = {"p": 1, "d": 0, "q": 0, "ar": [0.5], "ma": [], "intercept": 1.0}
         y = np.array([0.0, 2.0])
         f = forecast_arima(params, y, 3)
         assert f[0] == pytest.approx(1.0 + 0.5 * 2.0)
@@ -278,28 +277,26 @@ class TestArimaLite:
         assert f[2] == pytest.approx(1.0 + 0.5 * f[1])
 
     def test_differenced_forecast_accumulates_levels(self):
-        params = ArimaLiteParams(p=0, d=1, q=0, ar=(), ma=(),
-                                 intercept=2.0, sigma2=1.0)
+        params = {"p": 0, "d": 1, "q": 0, "ar": [], "ma": [], "intercept": 2.0}
         y = np.array([10.0, 11.0, 13.0])
         f = forecast_arima(params, y, 2)
         np.testing.assert_allclose(f, [15.0, 17.0])
 
     def test_forecast_rejects_zero_horizon(self):
-        params = ArimaLiteParams(p=0, d=0, q=0, ar=(), ma=(),
-                                 intercept=0.0, sigma2=1.0)
+        params = {"p": 0, "d": 0, "q": 0, "ar": [], "ma": [], "intercept": 0.0}
         with pytest.raises(ValueError):
             forecast_arima(params, np.ones(30), 0)
 
     @pytest.mark.parametrize("p, d, q, n", [(2, 0, 0, 1), (2, 0, 1, 1), (1, 1, 0, 1),
                                             (2, 1, 1, 2)])
     def test_forecast_rejects_too_few_counts(self, p, d, q, n):
-        params = ArimaLiteParams(p=p, d=d, q=q, ar=(0.5,) * p, ma=(0.2,) * q,
-                                 intercept=1.0, sigma2=1.0)
+        params = {"p": p, "d": d, "q": q, "ar": [0.5] * p, "ma": [0.2] * q,
+                  "intercept": 1.0}
         with pytest.raises(ValueError, match="needs at least"):
             forecast_arima(params, np.ones(n), 3)
 
     def test_forecast_length_matches_horizon(self):
         rng = np.random.default_rng(59)
         y = rng.poisson(4.0, size=40).astype(float)
-        params, _ = fit_arima_lite(y)
-        assert forecast_arima(params, y, 14).shape == (14,)
+        fit = fit_arima_lite(y)
+        assert forecast_arima(fit.params, y, 14).shape == (14,)

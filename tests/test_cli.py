@@ -320,22 +320,43 @@ class TestReport:
         return run("report", "--input", str(corpus / "events.jsonl"),
                    "--out", str(corpus))
 
-    @pytest.mark.parametrize("stage", ["attribute", "report"])
-    def test_fits_of_other_clusters_are_stale(self, corpus, capsys, stage):
-        events = str(corpus / "events.jsonl")
-        assert self.full_pipeline(corpus) == 0
-        # move the first video to the next cluster, as a rerun of cluster may
+    @staticmethod
+    def move_first_video(corpus):
+        """Move the first video to the next cluster, as a rerun of cluster may."""
         path = corpus / "assignments.csv"
         rows = read_csv(path)
         n_clusters = len({r["cluster_id"] for r in rows})
         rows[0]["cluster_id"] = str((int(rows[0]["cluster_id"]) + 1) % n_clusters)
         path.write_text("video_id,cluster_id\n" +
                         "".join(f"{r['video_id']},{r['cluster_id']}\n" for r in rows))
+
+    @pytest.mark.parametrize("stage", ["attribute", "report"])
+    def test_fits_of_other_clusters_are_stale(self, corpus, capsys, stage):
+        events = str(corpus / "events.jsonl")
+        assert self.full_pipeline(corpus) == 0
+        self.move_first_video(corpus)
         capsys.readouterr()
         assert run(stage, "--input", events, "--out", str(corpus)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus / 'fits.json'}: stale (cluster ")
         assert err.endswith("; rerun 'tagburst fit'\n") and err.count("\n") == 1
+
+    def test_forecast_and_attribution_of_other_clusters_are_stale(self, corpus, capsys):
+        events = str(corpus / "events.jsonl")
+        assert self.full_pipeline(corpus) == 0
+        self.move_first_video(corpus)
+        assert run("fit", "--input", events, "--out", str(corpus)) == 0
+        for artifact, stage in (("forecast.json", "forecast"),
+                                ("attribution.json", "attribute")):
+            capsys.readouterr()
+            assert run("report", "--input", events, "--out", str(corpus)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {corpus / artifact}: stale (cluster ")
+            assert f" in {artifact}); rerun 'tagburst {stage}'\n" in err
+            assert err.count("\n") == 1
+            extra = ("--train-days", "60") if stage == "forecast" else ()
+            assert run(stage, "--input", events, "--out", str(corpus), *extra) == 0
+        assert run("report", "--input", events, "--out", str(corpus)) == 0
 
     def test_collates_all_artifacts(self, corpus):
         assert self.full_pipeline(corpus) == 0
@@ -391,13 +412,15 @@ class TestMalformedArtifacts:
          lambda doc: doc["clusters"][0]["hawkes"].update(loglik="x"), "malformed"),
         ("attribute", "fits.json",
          lambda doc: doc["clusters"][0]["hawkes"].update(mu="x"), "malformed"),
+        ("report", "fits.json",
+         lambda doc: doc["clusters"][0]["hawkes"].update(mu="x"), "malformed"),
         ("fit", "assignments.csv", lambda text: text.replace("video_id", "id", 1),
          "missing field 'video_id'"),
         ("fit", "assignments.csv", lambda text: re.sub(r",\d+\n", ",zero\n", text, count=1),
          "malformed (invalid literal"),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
             "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
-            "mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number"])
+            "mu-not-a-number", "report-mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")

@@ -11,10 +11,9 @@ from oracles import (central_difference, direct_compensator, direct_intensity,
 from tagburst import _optim, baselines, hawkes
 from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
 from tagburst.forecast import conditional_mean_count
-from tagburst.hawkes import (HawkesParams, _decay_state, _excitation, decay_sums, fit_mle,
-                             fit_result_from_dict, fit_result_to_dict, log_likelihood,
-                             log_likelihood_gradient, make_fit_result,
-                             rescaled_residuals)
+from tagburst.hawkes import (FitResult, HawkesParams, _decay_state, _excitation, decay_sums,
+                             fit_mle, fit_result_from_dict, fit_result_to_dict, log_likelihood,
+                             log_likelihood_gradient, rescaled_residuals)
 from tagburst.simulate import SimConfig, simulate_hawkes
 
 P = HawkesParams(mu=0.5, beta=1.0, omega=2.0)
@@ -290,8 +289,8 @@ class TestFit:
         assert fit.branching_ratio < 0.15
 
     def test_aic_identity(self):
-        fr = make_fit_result("m", {"a": 1.0}, log_likelihood=-10.0,
-                             n_params=3, converged=True, n_iterations=4)
+        fr = FitResult("m", {"a": 1.0}, log_likelihood=-10.0,
+                       n_params=3, converged=True, n_iterations=4)
         assert fr.aic == 2 * 3 - 2 * (-10.0)
 
     def test_fit_reports_metadata(self):
@@ -365,6 +364,16 @@ class TestObjective:
         monkeypatch.setattr(hawkes, "maximize", counting_maximize)
         monkeypatch.setattr(_optim, "minimize", spy_minimize)
 
+    def test_log_space_objective_is_the_chain_rule_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        times = random_times(rng, 300, 50.0)
+        for _ in range(20):
+            x = rng.uniform(-4.0, 4.0, size=3)
+            value, grad = hawkes._neg_ll_and_grad(x, times, 50.0)
+            ll, g = hawkes._loglik_and_grad(*np.exp(x), times, 50.0)
+            assert value == -ll
+            np.testing.assert_array_equal(grad, -g * np.exp(x))
+
     def test_newton_polish_finishes_interior_stall(self, monkeypatch):
         calls, windows = [0], {}
         self.log_calls(monkeypatch, calls, windows)
@@ -421,6 +430,12 @@ class TestObjective:
 
 
 class TestFitRecord:
+    def test_aic_follows_a_replaced_log_likelihood(self):
+        fit = FitResult("m", {"a": 1.0}, -10.0, 3, True, 4)
+        moved = replace(fit, log_likelihood=-12.5)
+        assert moved.aic == 2.0 * 3 - 2.0 * -12.5
+        assert replace(moved, n_params=5).aic == 2.0 * 5 - 2.0 * -12.5
+
     def test_round_trips_through_json(self):
         rng = np.random.default_rng(17)
         times = random_times(rng, 120, 40.0)
@@ -428,7 +443,7 @@ class TestFitRecord:
         hawkes = fit_mle(times, 40.0)
         fits = [hawkes, replace(hawkes, warnings=("supercritical", "effectively_poisson")),
                 fit_poisson(times, 40.0), fit_pc_nhpp(times, 40.0),
-                fit_nhpp_drift(times, 40.0), fit_arima_lite(counts)[1]]
+                fit_nhpp_drift(times, 40.0), fit_arima_lite(counts)]
         for fit in fits:
             record = json.loads(json.dumps(fit_result_to_dict(fit)))
             assert fit_result_from_dict(record) == fit

@@ -25,7 +25,12 @@ __all__ = [
 ]
 
 _SIGMA2_FLOOR = 1e-12  # keeps the Gaussian loglik finite on zero-residual fits
-_MA_CLAMP = 1.0 - 1e-6
+_PACF_BOUND = 18.0  # |u| bound: tanh(18) = 1 - 2**-51, while tanh(19) rounds to 1
+# Fixed MA starts in u besides theta = 0: the CSS surface is multimodal, and
+# these reach the basins that theta = 0 misses on bursty daily counts
+_MA_STARTS = {1: ((0.0,), (3.0,)), 2: ((0.0, 0.0), (1.5, 0.0))}
+_HR_LONG_AR = 6  # order of the Hannan-Rissanen long autoregression
+_CSS_FTOL = 1e-12  # L-BFGS-B's relative SSR reduction at which a run stops
 
 # scipy.optimize.minimize, imported on first access (see _optim)
 __getattr__ = lazy_minimize(__name__)
@@ -144,38 +149,118 @@ def _css_residuals(y: Sequence[float], p: int, q: int, c: float,
     return np.asarray(eps, dtype=float)
 
 
+def _ma_from_pacf(u: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """MA coefficients from partial autocorrelations r = tanh(u) by the
+    Durbin-Levinson map, and their Jacobian d theta / d u.
+
+    theta = (r_1,) for q = 1 and (r_1 (1 + r_2), r_2) for q = 2.  Every r in
+    the open interval (-1, 1) puts the roots of 1 + theta_1 z + theta_2 z^2
+    outside the unit circle, so invertibility is structural; u is clipped to
+    +-_PACF_BOUND, where tanh still rounds below 1.
+    """
+    r = [math.tanh(min(max(v, -_PACF_BOUND), _PACF_BOUND)) for v in u]
+    if len(r) == 1:
+        return np.array(r), np.array([[1.0 - r[0] * r[0]]])
+    r1, r2 = r
+    d1, d2 = 1.0 - r1 * r1, 1.0 - r2 * r2
+    return (np.array([r1 * (1.0 + r2), r2]),
+            np.array([[d1 * (1.0 + r2), r1 * d2], [0.0, d2]]))
+
+
+def _css_objective(x: np.ndarray, y: np.ndarray, p: int, q: int,
+                   design: np.ndarray) -> tuple[float, np.ndarray]:
+    """SSR of the CSS residuals at x = (c, phi, u) and its gradient.
+
+    The residuals are eps = H a, with a = y[p:] - design @ (c, phi) and H the
+    causal filter 1 / (1 + theta_1 B + theta_2 B^2) from zero pre-sample
+    values.  Its derivatives pass through the same filter:
+    d eps / d(c, phi) = -H design and d eps / d theta_j = -H (eps lagged j).
+    So one backward pass, w = H^T eps, serves every parameter: the gradient
+    is -2 (w @ design, w . eps lagged j).
+    """
+    theta, jac = _ma_from_pacf(x[1 + p:])
+    t1, t2 = float(theta[0]), float(theta[1]) if q == 2 else 0.0
+    eps = _css_residuals(y, p, q, x[0], x[1:1 + p], theta)
+    w = []
+    w1 = w2 = 0.0
+    for e in reversed(eps.tolist()):
+        w1, w2 = e - t1 * w1 - t2 * w2, w1
+        w.append(w1)
+    w = np.array(w[::-1])
+    g_theta = [float(w[j:] @ eps[:-j]) for j in range(1, q + 1)]
+    return float(eps @ eps), -2.0 * np.concatenate([w @ design, np.dot(g_theta, jac)])
+
+
+def _lagged(v: np.ndarray, start: int, k: int) -> list[np.ndarray]:
+    """Lags 1..k of v aligned with v[start:]."""
+    return [v[start - 1 - i:v.size - 1 - i] for i in range(k)]
+
+
+def _hannan_rissanen(y: np.ndarray, p: int) -> np.ndarray:
+    """(c, phi, u) of an ARMA(p, 2) start by Hannan & Rissanen (1982): regress
+    y on its own lags and on the lagged residuals of a long autoregression,
+    then invert the PACF map with |r| <= 0.99."""
+    n = y.size
+    k = min(_HR_LONG_AR, n // 4)
+    long_ar = np.column_stack([np.ones(n - k)] + _lagged(y, k, k))
+    coef, *_ = np.linalg.lstsq(long_ar, y[k:], rcond=None)
+    e = np.zeros(n)
+    e[k:] = y[k:] - long_ar @ coef
+    s = max(p, 2)
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(n - s)] + _lagged(y, s, p) +
+                                               _lagged(e, s, 2)), y[s:], rcond=None)
+    r2 = np.clip(coef[-1], -0.99, 0.99)
+    r1 = np.clip(coef[-2] / (1.0 + r2), -0.99, 0.99)
+    return np.concatenate([coef[:1 + p], np.arctanh([r1, r2])])
+
+
 def _css_fit_one(y: np.ndarray, p: int, q: int) -> tuple[np.ndarray, bool, int]:
-    """Minimize the conditional sum of squares with the derivative-free simplex."""
-    c0 = float(np.mean(y[p:])) if y.size > p else 0.0
-    phi0 = np.zeros(p)
-    if p > 0 and y.size > 2 * p:
-        design = np.column_stack([np.ones(y.size - p)] +
-                                 [y[p - 1 - i:y.size - 1 - i] for i in range(p)])
-        coef, *_ = np.linalg.lstsq(design, y[p:], rcond=None)
-        c0, phi0 = float(coef[0]), coef[1:]
-    x0 = np.concatenate([[c0], phi0, np.zeros(q)])
+    """Minimize the conditional sum of squares of one ARIMA(p, ., q) cell:
+    (c, phi, theta), converged, iterations.
 
-    def ssr(vec: np.ndarray) -> float:
-        eps = _css_residuals(y, p, q, vec[0], vec[1:1 + p], vec[1 + p:])
-        return float(np.dot(eps, eps))
-
-    if x0.size == 1 and q == 0:
-        # intercept-only model: the mean minimizes the SSR in closed form
-        return np.asarray([float(np.mean(y))]), True, 0
-    res = _module.minimize(ssr, x0, method="Nelder-Mead",
-                           options={"maxiter": MAX_ITER * x0.size, "xatol": 1e-8, "fatol": 1e-10})
-    return np.asarray(res.x), bool(res.success), int(res.nit)
+    Without MA terms the least-squares regression on the lags is the exact
+    minimizer.  With them, L-BFGS-B minimizes the SSR over (c, phi, u) with
+    its analytic gradient from several starts, and keeps the lowest SSR (the
+    first start on a tie): the regression's (c, phi) with each u in
+    _MA_STARTS[q], and for q = 2 also the Hannan-Rissanen estimate.
+    theta = _ma_from_pacf(u) is invertible by construction.  converged means
+    that a run which stopped on its own tolerance (relative SSR reduction or
+    projected gradient; not its iteration cap or a failed line search)
+    reached the kept SSR to within that relative tolerance, _CSS_FTOL; the
+    iterations are the kept run's.
+    """
+    m = y.size - p
+    design = np.column_stack([np.ones(m)] + _lagged(y, p, p))
+    coef, *_ = np.linalg.lstsq(design, y[p:], rcond=None)
+    if q == 0:
+        return coef, True, 0
+    starts = [np.concatenate([coef, u]) for u in _MA_STARTS[q]]
+    if q == 2:
+        starts.append(_hannan_rissanen(y, p))
+    bounds = [(None, None)] * (1 + p) + [(-_PACF_BOUND, _PACF_BOUND)] * q
+    runs = [_module.minimize(_css_objective, x0, args=(y, p, q, design), jac=True,
+                             method="L-BFGS-B", bounds=bounds,
+                             options={"maxiter": MAX_ITER, "ftol": _CSS_FTOL})
+            for x0 in starts]
+    best = min(runs, key=lambda r: r.fun)
+    reached = best.fun + _CSS_FTOL * max(abs(best.fun), 1.0)
+    converged = any(r.success and r.fun <= reached for r in runs)
+    theta, _ = _ma_from_pacf(best.x[1 + p:])
+    return np.concatenate([best.x[:1 + p], theta]), converged, int(best.nit)
 
 
 def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
                    max_q: int = 2) -> FitResult:
     """Grid-search ARIMA(p, d, q) with p <= max_p, d <= max_d, q <= max_q <= 2.
 
-    Each candidate is fit by conditional least squares; the Gaussian
+    Each candidate is fit by conditional least squares (_css_fit_one, so the
+    MA polynomial is invertible by construction); the Gaussian
     log-likelihood comes from the residual variance; k = p + q + 2 counts the
     intercept and the variance.  Lowest aic wins, ties broken by
-    lexicographically smallest (p, d, q).  MA estimates outside the open unit
-    interval are clamped and flagged.
+    lexicographically smallest (p, d, q).  The fit's converged and iteration
+    count are the winning cell's: always converged without MA terms, and with
+    them when an L-BFGS-B run stopped on its own tolerance at the kept SSR.
+    Nothing is clamped after the fit.
     """
     if min(max_p, max_d, max_q) < 0 or max_q > 2:
         raise ValueError("grid bounds must satisfy max_p, max_d >= 0 and 0 <= max_q <= 2, "
@@ -191,9 +276,6 @@ def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
         y = diffed[d]
         vec, ok, n_iter = _css_fit_one(y, p, q)
         c, phi, theta = float(vec[0]), vec[1:1 + p], vec[1 + p:]
-        clamped = bool(np.any(np.abs(theta) >= 1.0))
-        if clamped:
-            theta = np.clip(theta, -_MA_CLAMP, _MA_CLAMP)
         eps = _css_residuals(y, p, q, c, phi, theta)
         n_eff = eps.size
         sigma2 = max(float(np.dot(eps, eps)) / n_eff, _SIGMA2_FLOOR)
@@ -202,7 +284,7 @@ def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
             "arima_lite",
             {"p": p, "d": d, "q": q, "ar": [float(v) for v in phi],
              "ma": [float(v) for v in theta], "intercept": c, "sigma2": sigma2},
-            ll, p + q + 2, ok, n_iter, warnings=("ma_clamped",) if clamped else ())
+            ll, p + q + 2, ok, n_iter)
         key = (fit.aic, p, d, q)
         if best is None or key < best:
             best, best_fit = key, fit

@@ -158,6 +158,38 @@ def loop_css_residuals(y, p, q, c, phi, theta):
     return np.asarray(eps[p:])
 
 
+def nelder_mead_css_fit(y, p, q):
+    """The ARIMA-lite cell fit before the gradient-based one: minimize the
+    conditional sum of squares with the derivative-free simplex from the
+    lstsq start and theta = 0, MA terms unconstrained.  Returns
+    (c, phi..., theta...), success, iterations.  Its residuals come from the
+    package's _css_residuals, which the tests pin bit for bit to
+    loop_css_residuals (the loop would more than double the simplex's
+    time)."""
+    from scipy.optimize import minimize
+
+    from tagburst.baselines import _css_residuals
+    c0 = float(np.mean(y[p:])) if y.size > p else 0.0
+    phi0 = np.zeros(p)
+    if p > 0 and y.size > 2 * p:
+        design = np.column_stack([np.ones(y.size - p)] +
+                                 [y[p - 1 - i:y.size - 1 - i] for i in range(p)])
+        coef, *_ = np.linalg.lstsq(design, y[p:], rcond=None)
+        c0, phi0 = float(coef[0]), coef[1:]
+    x0 = np.concatenate([[c0], phi0, np.zeros(q)])
+
+    def ssr(vec):
+        eps = _css_residuals(y, p, q, vec[0], vec[1:1 + p], vec[1 + p:])
+        return float(np.dot(eps, eps))
+
+    if x0.size == 1 and q == 0:
+        # intercept-only model: the mean minimizes the SSR in closed form
+        return np.asarray([float(np.mean(y))]), True, 0
+    res = minimize(ssr, x0, method="Nelder-Mead",
+                   options={"maxiter": 500 * x0.size, "xatol": 1e-8, "fatol": 1e-10})
+    return np.asarray(res.x), bool(res.success), int(res.nit)
+
+
 def loop_decay_state(times, omega):
     """Decay sums A_i and B_i = -dA_i/domega by the plain per-step loop that
     stores each value through numpy indexing."""

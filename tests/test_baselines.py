@@ -1,15 +1,21 @@
 """Poisson-family baselines, the pooled self-exciting fit, and ARIMA-lite."""
 
 import math
+import warnings
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from mc_reference import simulate_nhpp
-from oracles import central_difference, drift_log_likelihood, loop_css_residuals
-from tagburst.baselines import (_css_residuals, _drift_objective,
-                                fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson,
-                                forecast_arima)
+from oracles import (central_difference, drift_log_likelihood, loop_css_residuals,
+                     nelder_mead_css_fit)
+from tagburst import baselines
+from tagburst.baselines import (_css_fit_one, _css_objective, _css_residuals, _drift_objective,
+                                _ma_from_pacf, fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp,
+                                fit_poisson, forecast_arima)
 from tagburst.forecast import (POOLED_CLUSTER_ID, conditional_mean_count, default_split,
                                evaluate_all)
 from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood
@@ -300,3 +306,151 @@ class TestArimaLite:
         y = rng.poisson(4.0, size=40).astype(float)
         fit = fit_arima_lite(y)
         assert forecast_arima(fit.params, y, 14).shape == (14,)
+
+
+# Daily counts of the 60 training days of each cluster that the forecast
+# stage hands to fit_arima_lite: the README run (simulate --seed 0
+# --t-days 120, cluster --eta 2, forecast --train-days 60) and the perfbench
+# quickstart workload at seed 1.
+README_TRAIN_COUNTS = [
+    [0, 2, 4, 3, 3, 4, 1, 1, 0, 0, 0, 0, 1, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 0, 0, 1,
+     2, 2, 0, 1, 3, 2, 7, 2, 1, 0, 3, 0, 4, 5, 2, 1, 1, 0, 3, 3, 3, 0, 6, 1, 0, 0, 0, 0, 0, 1],
+    [1, 1, 0, 4, 2, 2, 2, 0, 1, 4, 2, 0, 1, 3, 1, 2, 0, 1, 1, 2, 2, 0, 3, 1, 1, 1, 1, 2, 0, 0,
+     0, 1, 0, 1, 3, 0, 2, 0, 1, 0, 2, 3, 4, 0, 2, 1, 2, 1, 2, 2, 0, 2, 1, 0, 0, 1, 0, 2, 2, 4],
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 1, 1, 1, 3, 1, 0, 4, 3, 0, 0, 1, 0,
+     0, 0, 2, 2, 2, 4, 1, 0, 0, 2, 0, 3, 4, 0, 0, 0, 0, 3, 0, 3, 0, 5, 6, 7, 3, 8, 0, 0, 0, 0],
+]
+QUICKSTART_SEED1_TRAIN_COUNTS = [
+    [2, 3, 2, 4, 1, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 1, 0, 2, 2, 2, 0, 1, 2, 1, 3, 2, 5, 1, 0,
+     1, 3, 2, 2, 9, 10, 3, 3, 2, 1, 3, 3, 3, 0, 3, 1, 0, 1, 0, 3, 2, 11, 8, 1, 0, 3, 0, 0, 0, 3],
+    [0, 2, 4, 0, 2, 0, 1, 3, 4, 1, 1, 3, 0, 2, 4, 1, 1, 1, 2, 1, 1, 2, 1, 0, 2, 1, 1, 3, 1, 1,
+     0, 0, 4, 0, 1, 1, 2, 1, 3, 4, 1, 1, 0, 2, 2, 0, 0, 1, 1, 0, 1, 1, 1, 0, 1, 1, 2, 1, 0, 1],
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 2, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1,
+     0, 2, 0, 0, 1, 2, 2, 0, 1, 3, 7, 3, 3, 3, 0, 0, 0, 0, 0, 0, 1, 6, 1, 0, 0, 1, 1, 3, 11, 0],
+]
+
+
+def bursty_series(rng):
+    """Poisson daily counts over a base rate plus 1-4 geometrically decaying
+    bursts, 20-120 days long."""
+    n = int(rng.integers(20, 121))
+    rate = np.full(n, rng.uniform(0.3, 5.0))
+    for start in rng.choice(n, size=int(rng.integers(1, 5)), replace=False):
+        rate[start:] += rng.uniform(2.0, 15.0) * rng.uniform(0.3, 0.9) ** np.arange(n - start)
+    return rng.poisson(rate).astype(float)
+
+
+def css_corpus():
+    """The README and quickstart series, 40 bursty series of seed 2 and the
+    26th of seed 4.  Seed 2 holds ARMA(p, 2) cells that only the (1.5, 0)
+    start and only the Hannan-Rissanen start reach the oracle's SSR on, and
+    the seed-4 series an ARMA(1, 1) cell that only the u = 3 start does."""
+    fixed = README_TRAIN_COUNTS + QUICKSTART_SEED1_TRAIN_COUNTS
+    seed2, seed4 = np.random.default_rng(2), np.random.default_rng(4)
+    return ([np.asarray(c, dtype=float) for c in fixed]
+            + [bursty_series(seed2) for _ in range(40)]
+            + [[bursty_series(seed4) for _ in range(26)][-1]])
+
+
+def css_cells(counts):
+    """Every (y, p, q) cell of fit_arima_lite's default grid on one series."""
+    for p, d, q in product(range(3), range(2), range(3)):
+        yield (np.diff(counts, n=d) if d else counts), p, q
+
+
+def cell_ssr(y, p, q, vec):
+    eps = _css_residuals(y, p, q, vec[0], vec[1:1 + p], vec[1 + p:])
+    return float(np.dot(eps, eps))
+
+
+def invertible(theta):
+    """Exact test that 1 + theta_1 z + theta_2 z^2 has every root outside the
+    unit circle (the stability triangle for q = 2), in rational arithmetic."""
+    t = [Fraction(float(v)) for v in theta]
+    if len(t) == 1:
+        return abs(t[0]) < 1
+    return abs(t[1]) < 1 and abs(t[0]) < 1 + t[1]
+
+
+def css_design(y, p):
+    m = y.size - p
+    return np.column_stack([np.ones(m)] + [y[p - 1 - i:y.size - 1 - i] for i in range(p)])
+
+
+class TestCssFit:
+    def test_ssr_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            p, q = int(rng.integers(0, 3)), int(rng.integers(1, 3))
+            counts = bursty_series(rng)
+            y = np.diff(counts) if rng.integers(0, 2) else counts
+            design = css_design(y, p)
+            x = np.concatenate([[rng.normal(1.0, 2.0)], rng.normal(0.0, 0.5, size=p),
+                                rng.normal(0.0, 1.5, size=q)])
+            f, g = _css_objective(x, y, p, q, design)
+            theta, _ = _ma_from_pacf(x[1 + p:])
+            # the minimized SSR is the one fit_arima_lite reports, bit for bit
+            assert f == cell_ssr(y, p, q, np.concatenate([x[:1 + p], theta]))
+            numeric = central_difference(lambda v: _css_objective(v, y, p, q, design)[0],
+                                         x, 1e-6)
+            np.testing.assert_allclose(g, numeric, rtol=1e-5, atol=1e-6 * np.max(np.abs(g)))
+
+    def test_pacf_map_gives_invertible_ma_polynomials(self):
+        rng = np.random.default_rng(71)
+        for q in (1, 2):
+            extreme = [-np.inf, -1e300, -40.0, -19.0, 19.0, 40.0, 1e300, np.inf]
+            us = np.concatenate([rng.normal(0.0, 3.0, size=(300, q)),
+                                 rng.normal(0.0, 300.0, size=(300, q)),
+                                 rng.choice(extreme, size=(100, q))])
+            for u in us:
+                theta, _ = _ma_from_pacf(u)
+                assert invertible(theta), (u, theta)
+                if np.all(np.abs(u) < 5.0):  # roots well away from the circle
+                    assert np.all(np.abs(np.roots(np.r_[theta[::-1], 1.0])) > 1.0)
+
+    def test_pacf_map_jacobian_matches_finite_differences(self):
+        rng = np.random.default_rng(73)
+        for q in (1, 2):
+            for u in rng.normal(0.0, 2.0, size=(100, q)):
+                _, jac = _ma_from_pacf(u)
+                for i in range(q):
+                    numeric = central_difference(lambda v: _ma_from_pacf(v)[0][i], u, 1e-6)
+                    np.testing.assert_allclose(jac[i], numeric, rtol=1e-7, atol=1e-9)
+
+    def test_no_cell_above_the_nelder_mead_oracle(self):
+        # every cell converges, and where the simplex ended on an invertible MA
+        # polynomial the gradient fit's SSR is not above its SSR
+        for k, counts in enumerate(css_corpus()):
+            for y, p, q in css_cells(counts):
+                vec, converged, _ = _css_fit_one(y, p, q)
+                assert converged, (k, p, q, y.size)
+                oracle, _, _ = nelder_mead_css_fit(y, p, q)
+                if q == 0 or invertible(oracle[1 + p:]):
+                    assert cell_ssr(y, p, q, vec) <= cell_ssr(y, p, q, oracle) * (1 + 1e-9), \
+                        (k, p, q, y.size)
+
+    def test_fits_raise_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for counts in css_corpus():
+                fit = fit_arima_lite(counts)
+                assert fit.converged
+                if fit.params["q"]:
+                    assert invertible(fit.params["ma"])
+
+    def test_quickstart_objective_evaluations(self, monkeypatch):
+        """Objective evaluations of fit_arima_lite on the three quickstart
+        seed-1 series, summed over the minimize calls as perfbench's
+        baselines.css_nelder_mead.nfev does.  The Nelder-Mead fit that came
+        before made 58,445; the bound is a tenth of that."""
+        nfev = []
+
+        def counting_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(baselines, "minimize", counting_minimize, raising=False)
+        for counts in QUICKSTART_SEED1_TRAIN_COUNTS:
+            fit_arima_lite(np.asarray(counts, dtype=float))
+        assert 0 < sum(nfev) <= 58_445 // 10

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -85,13 +86,12 @@ class EventStream:
 
 def _micros_from_ts(value: object, line: int) -> int:
     """Normalize an ISO-8601 string or epoch-seconds number to integer microseconds."""
-    if isinstance(value, bool):
-        raise ParseError("timestamp must be a string or number", line=line, field="ts")
-    if isinstance(value, (int, float)):
+    kind = type(value)  # the exact types a reader yields; a bool is no timestamp
+    if kind is float or kind is int:
         if not math.isfinite(value):
             raise ParseError("timestamp is not finite", line=line, field="ts")
-        return round(float(value) * 1e6)
-    if isinstance(value, str):
+        return round(value * 1e6)
+    if kind is str:
         text = value.strip()
         if not text:
             raise ParseError("empty timestamp", line=line, field="ts")
@@ -116,20 +116,29 @@ def _require_str(value: object, name: str, line: int) -> str:
 
 
 def _require_count(value: object, name: str, line: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        if isinstance(value, str):
-            try:
-                value = int(value)
-            except ValueError:
-                raise ParseError(f"{name} must be an integer", line=line, field=name) from None
-        else:
-            raise ParseError(f"{name} must be an integer", line=line, field=name)
+    kind = type(value)  # the exact types a reader yields; a bool is no count
+    if kind is str:
+        try:
+            value = int(value)
+        except ValueError:
+            raise ParseError(f"{name} must be an integer", line=line, field=name) from None
+    elif kind is not int:
+        raise ParseError(f"{name} must be an integer", line=line, field=name)
     if value < 0:
         raise ParseError(f"{name} must be >= 0", line=line, field=name)
-    return int(value)
+    return value
 
 
-def _require_tags(raw: object, line: int) -> frozenset[str]:
+def _require_tags(raw: object, line: int, shared: dict[object, frozenset[str]]) \
+        -> frozenset[str]:
+    """The tag set of one record.  ``shared`` maps each tag list already
+    validated (as a tuple, or the raw '|'-joined string) to its frozenset, so
+    records with equal tag lists share one set and validate it once."""
+    key = tuple(raw) if isinstance(raw, list) else raw
+    try:
+        return shared[key]
+    except (KeyError, TypeError):  # a new tag list, or one holding unhashable items
+        pass
     if isinstance(raw, str):
         parts = raw.split("|") if raw else []
     elif isinstance(raw, list):
@@ -141,11 +150,13 @@ def _require_tags(raw: object, line: int) -> frozenset[str]:
     for t in parts:
         if not isinstance(t, str) or not t:
             raise ParseError("tags must be non-empty strings", line=line, field="tags")
-    return frozenset(parts)
+    tags = shared[key] = frozenset(parts)
+    return tags
 
 
-def _records_from_jsonl(path: Path) -> list[tuple[int, dict]]:
-    out = []
+def _records_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line, decoding a line
+    only when the previous record has been consumed."""
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.strip():
@@ -156,24 +167,22 @@ def _records_from_jsonl(path: Path) -> list[tuple[int, dict]]:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
             if not isinstance(rec, dict):
                 raise ParseError("record must be a JSON object", line=lineno)
-            out.append((lineno, rec))
-    return out
+            yield lineno, rec
 
 
-def _records_from_csv(path: Path) -> list[tuple[int, dict]]:
-    out = []
+def _records_from_csv(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each data row, after checking the header."""
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            return []
+            return
         missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ParseError(f"missing column(s): {', '.join(missing)}", line=1)
         for rec in reader:
             if rec.get(None):
                 raise ParseError("too many fields", line=reader.line_num)
-            out.append((reader.line_num, rec))
-    return out
+            yield reader.line_num, rec
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
@@ -201,31 +210,36 @@ def parse_events(path: str | Path, format: str | None = None,
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
     fmt = _infer_format(path, format)
-    raw = _records_from_jsonl(path) if fmt == "jsonl" else _records_from_csv(path)
-    if not raw:
+    records = _records_from_jsonl(path) if fmt == "jsonl" else _records_from_csv(path)
+
+    # One pass: each record is checked, field by field in a fixed order, as it
+    # is read and reduced to a row, so the first bad line in the file is the
+    # one reported and no decoded record outlives its line.
+    seen: dict[str, int] = {}
+    shared_tags: dict[object, frozenset[str]] = {}
+    rows = []
+    for lineno, rec in records:
+        vid = _require_str(rec.get("video_id"), "video_id", lineno)
+        first = seen.setdefault(vid, lineno)
+        if first != lineno:
+            raise ParseError(
+                f"duplicate video_id {vid!r} (first seen at line {first})", line=lineno,
+                field="video_id")
+        rows.append((
+            _micros_from_ts(rec.get("ts"), lineno), vid,
+            _require_str(rec.get("uploader_id"), "uploader_id", lineno),
+            _require_tags(rec.get("tags"), lineno, shared_tags),
+            _require_count(rec.get("views"), "views", lineno),
+            _require_count(rec.get("comments"), "comments", lineno)))
+    if not rows:
         raise ParseError(f"empty input file: {path}")
 
-    seen: dict[str, int] = {}
-    parsed = []
-    for lineno, rec in raw:
-        vid = _require_str(rec.get("video_id"), "video_id", lineno)
-        if vid in seen:
-            raise ParseError(
-                f"duplicate video_id {vid!r} (first seen at line {seen[vid]})", line=lineno,
-                field="video_id")
-        seen[vid] = lineno
-        micros = _micros_from_ts(rec.get("ts"), lineno)
-        uploader = _require_str(rec.get("uploader_id"), "uploader_id", lineno)
-        tags = _require_tags(rec.get("tags"), lineno)
-        views = _require_count(rec.get("views"), "views", lineno)
-        comments = _require_count(rec.get("comments"), "comments", lineno)
-        parsed.append((vid, micros, uploader, tags, views, comments))
-
-    base = min(p[1] for p in parsed)
-    events = tuple(sorted(
-        (Event(vid, (micros - base) / MICROS_PER_DAY, uploader, tags, views, comments)
-         for vid, micros, uploader, tags, views, comments in parsed),
-        key=lambda e: (e.upload_time, e.video_id)))
+    base = min(row[0] for row in rows)
+    # video ids are unique, so each comparison stops at (upload_time, video_id)
+    rows = sorted([((micros - base) / MICROS_PER_DAY, vid, uploader, tags, views, comments)
+                   for micros, vid, uploader, tags, views, comments in rows])
+    events = tuple([Event(vid, t, uploader, tags, views, comments)
+                    for t, vid, uploader, tags, views, comments in rows])
     last = events[-1].upload_time
     if horizon_T is None:
         horizon_T = last

@@ -418,9 +418,12 @@ class TestMalformedArtifacts:
          "missing field 'video_id'"),
         ("fit", "assignments.csv", lambda text: re.sub(r",\d+\n", ",zero\n", text, count=1),
          "malformed (invalid literal"),
+        ("fit", "assignments.csv", lambda text: re.sub(r",\d+\n", "\n", text, count=1),
+         "malformed ("),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
             "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
-            "mu-not-a-number", "report-mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number"])
+            "mu-not-a-number", "report-mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number",
+            "assignments-row-without-cluster-id"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")

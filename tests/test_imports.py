@@ -1,5 +1,6 @@
-"""Stages that never fit load no scipy optimizer, and the lazily loaded
-`minimize` attributes are scipy's own function once touched."""
+"""Stages that never fit load no scipy optimizer, the lazily loaded
+`minimize` attributes are scipy's own function once touched, and importing
+the package asks OpenBLAS for one thread unless the caller chose a number."""
 
 import json
 import os
@@ -7,14 +8,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tagburst
 
 HEAVY = ("scipy.optimize", "scipy.signal")
 
 
-def python(*args):
+def python(*args, **environ):
+    """Run the interpreter with src/ on the path; an environ value of None
+    removes that variable."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(tagburst.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -42,3 +52,10 @@ def test_minimize_attributes_are_scipys_after_first_access():
                   "import scipy.optimize as so\n"
                   "print(json.dumps([o.minimize is so.minimize, b.minimize is so.minimize]))")
     assert json.loads(proc.stdout) == [True, True]
+
+
+@pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")])
+def test_one_blas_thread_unless_the_caller_sets_another(caller, seen):
+    proc = python("-c", "import os, tagburst\n"
+                  "print(os.environ['OPENBLAS_NUM_THREADS'])", OPENBLAS_NUM_THREADS=caller)
+    assert proc.stdout.strip() == seen

@@ -1,11 +1,17 @@
 """Parsing, normalization, and round-trip behavior of event streams."""
 
+import csv
+import io
 import json
+import random
+import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from oracles import validate_stream
+from oracles import reference_parse_events, validate_stream
+from tagburst.cli import main
 from tagburst.ingest import Event, EventStream, ParseError, parse_events, write_events
 
 
@@ -172,3 +178,245 @@ class TestValidateStream:
     def test_tie_order_violation_detected(self):
         s = self.make_stream([self.ev("vB", 1.0), self.ev("vA", 1.0)])
         assert any("order" in m for m in validate_stream(s))
+
+
+@pytest.fixture(scope="module")
+def readme_lines(tmp_path_factory):
+    """The README corpus (simulate --seed 0 --t-days 120) as JSONL lines and
+    as CSV rows (header first)."""
+    out = tmp_path_factory.mktemp("readme")
+    assert main(["simulate", "--out", str(out), "--seed", "0", "--t-days", "120"]) == 0
+    write_events(parse_events(out / "events.jsonl"), out / "events.csv")
+    jsonl = (out / "events.jsonl").read_text().splitlines()
+    rows = list(csv.reader(io.StringIO((out / "events.csv").read_text())))
+    return jsonl, rows
+
+
+def outcome(parser, path, fmt):
+    """The stream a parser returns, or the type, message, line and field of
+    the exception it raises."""
+    try:
+        return parser(path, format=fmt)
+    except Exception as exc:  # any exception type is part of the outcome
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
+
+
+def csv_text(rows, newline="\n"):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=newline).writerows(rows)
+    return buf.getvalue()
+
+
+def without(rec, field):
+    return {k: v for k, v in rec.items() if k != field}
+
+
+# Each fault maps (record, another line's video_id) to the faulty line's text.
+JSONL_FAULTS = {
+    "bad_json": lambda rec, other: json.dumps(rec)[:-1],
+    "not_an_object": lambda rec, other: json.dumps([rec["video_id"]]),
+    "scalar_record": lambda rec, other: "3",
+    "missing_video_id": lambda rec, other: json.dumps(without(rec, "video_id")),
+    "empty_video_id": lambda rec, other: json.dumps({**rec, "video_id": ""}),
+    "numeric_video_id": lambda rec, other: json.dumps({**rec, "video_id": 7}),
+    "duplicate_video_id": lambda rec, other: json.dumps({**rec, "video_id": other}),
+    "missing_uploader": lambda rec, other: json.dumps(without(rec, "uploader_id")),
+    "bool_ts": lambda rec, other: json.dumps({**rec, "ts": True}),
+    "bool_views": lambda rec, other: json.dumps({**rec, "views": False}),
+    "nan_ts": lambda rec, other: json.dumps({**rec, "ts": float("nan")}),
+    "infinite_ts": lambda rec, other: json.dumps({**rec, "ts": float("inf")}),
+    "empty_ts": lambda rec, other: json.dumps({**rec, "ts": ""}),
+    "garbage_ts": lambda rec, other: json.dumps({**rec, "ts": "yesterday"}),
+    "null_ts": lambda rec, other: json.dumps({**rec, "ts": None}),
+    "negative_views": lambda rec, other: json.dumps({**rec, "views": -1}),
+    "fractional_comments": lambda rec, other: json.dumps({**rec, "comments": 2.5}),
+    "word_comments": lambda rec, other: json.dumps({**rec, "comments": "many"}),
+    "null_views": lambda rec, other: json.dumps({**rec, "views": None}),
+    "empty_tags": lambda rec, other: json.dumps({**rec, "tags": []}),
+    "empty_tag": lambda rec, other: json.dumps({**rec, "tags": [*rec["tags"], ""]}),
+    "non_string_tag": lambda rec, other: json.dumps({**rec, "tags": [*rec["tags"], 7]}),
+    "nested_tag_list": lambda rec, other: json.dumps({**rec, "tags": [rec["tags"]]}),
+    "tags_object": lambda rec, other: json.dumps({**rec, "tags": {"a": 1}}),
+    "piped_tags": lambda rec, other: json.dumps({**rec, "tags": "|".join(rec["tags"])}),
+    "empty_piped_tag": lambda rec, other: json.dumps({**rec, "tags": "a||b"}),
+    "empty_string_tags": lambda rec, other: json.dumps({**rec, "tags": ""}),
+}
+
+# A bad value for each field, in the order the parser checks them (which is
+# also the CSV column order); "bad_from_<field>" spoils that field and every
+# later one, so the field reported first pins the order of the checks.
+BAD_VALUES = {"video_id": None, "ts": "x", "uploader_id": "", "tags": [], "views": -1,
+              "comments": "x"}
+
+
+def bad_from(field):
+    """A fault that spoils field and every field checked after it."""
+    later = list(BAD_VALUES)[list(BAD_VALUES).index(field):]
+
+    def spoil(rec, other):
+        return {**rec, **{k: other if k == "video_id" else BAD_VALUES[k] for k in later}}
+    return spoil
+
+
+def jsonl_bad_from(field):
+    spoil = bad_from(field)
+    return lambda rec, other: json.dumps(spoil(rec, other))
+
+
+def csv_bad_from(field):
+    spoil = bad_from(field)
+
+    def fault(row, other):
+        rec = spoil(dict(zip(BAD_VALUES, row)), other)
+        return ["|".join(v) if isinstance(v, list) else str(v) for v in rec.values()]
+    return fault
+
+
+JSONL_FAULTS.update({f"bad_from_{field}": jsonl_bad_from(field) for field in BAD_VALUES})
+
+# Each fault maps (row in _CSV_COLUMNS order, another row's video_id) to the faulty row.
+CSV_FAULTS = {
+    "too_many_fields": lambda row, other: [*row, "extra"],
+    "short_row": lambda row, other: row[:4],
+    "empty_video_id": lambda row, other: ["", *row[1:]],
+    "duplicate_video_id": lambda row, other: [other, *row[1:]],
+    "empty_uploader": lambda row, other: [*row[:2], "", *row[3:]],
+    "empty_ts": lambda row, other: [row[0], "", *row[2:]],
+    "blank_ts": lambda row, other: [row[0], "  ", *row[2:]],
+    "garbage_ts": lambda row, other: [row[0], "yesterday", *row[2:]],
+    "nan_ts": lambda row, other: [row[0], "nan", *row[2:]],
+    "negative_views": lambda row, other: [*row[:4], "-1", row[5]],
+    "fractional_comments": lambda row, other: [*row[:5], "2.5"],
+    "bool_views": lambda row, other: [*row[:4], "True", row[5]],
+    "empty_tags": lambda row, other: [*row[:3], "", *row[4:]],
+    "empty_piped_tag": lambda row, other: [*row[:3], "a||b", *row[4:]],
+    "trailing_pipe": lambda row, other: [*row[:3], row[3] + "|", *row[4:]],
+}
+CSV_FAULTS.update({f"bad_from_{field}": csv_bad_from(field) for field in BAD_VALUES})
+
+
+class TestAgainstReferenceParser:
+    """The streaming parser against the parser it replaced
+    (oracles.reference_parse_events): one fault at a random line gives the
+    same exception type, message, line and field; clean files give equal
+    streams."""
+
+    @pytest.mark.parametrize("fault", sorted(JSONL_FAULTS))
+    def test_jsonl_fault_at_a_random_line(self, tmp_path, readme_lines, fault):
+        lines = readme_lines[0]
+        rng = random.Random(f"jsonl-{fault}")
+        for at in [0, len(lines) - 1, *rng.sample(range(1, len(lines) - 1), 3)]:
+            faulty = list(lines)
+            other = json.loads(lines[rng.choice([i for i in range(len(lines)) if i != at])])
+            faulty[at] = JSONL_FAULTS[fault](json.loads(lines[at]), other["video_id"])
+            path = tmp_path / f"{fault}.jsonl"
+            path.write_text("\n".join(faulty) + "\n")
+            expected = outcome(reference_parse_events, path, "jsonl")
+            assert outcome(parse_events, path, "jsonl") == expected, (fault, at + 1)
+
+    @pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+    def test_csv_fault_at_a_random_row(self, tmp_path, readme_lines, fault):
+        header, *rows = readme_lines[1]
+        rng = random.Random(f"csv-{fault}")
+        for at in [0, len(rows) - 1, *rng.sample(range(1, len(rows) - 1), 3)]:
+            faulty = list(rows)
+            other = rows[rng.choice([i for i in range(len(rows)) if i != at])][0]
+            faulty[at] = CSV_FAULTS[fault](rows[at], other)
+            path = tmp_path / f"{fault}.csv"
+            path.write_text(csv_text([header, *faulty]))
+            expected = outcome(reference_parse_events, path, "csv")
+            assert outcome(parse_events, path, "csv") == expected, (fault, at + 2)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_clean_files_parse_to_equal_streams(self, tmp_path, readme_lines, newline):
+        """ISO timestamps (with Z, an offset, or naive), string counts and
+        blank lines, in both formats and with either line ending."""
+        def iso(ts, k):
+            text = datetime.fromtimestamp(ts, timezone.utc).isoformat()
+            return [text, text.replace("+00:00", "Z"), text[:-6]][k % 3]
+
+        jsonl, (header, *rows) = readme_lines
+        records = [json.loads(line) for line in jsonl]
+        for k, rec in enumerate(records):
+            if k % 4 == 1:
+                rec["ts"] = iso(rec["ts"], k)
+            if k % 5 == 2:
+                rec["views"], rec["comments"] = str(rec["views"]), str(rec["comments"])
+        text = newline.join(json.dumps(r) + (newline if k % 50 == 7 else "")
+                            for k, r in enumerate(records)) + newline
+        rows = [[row[0], iso(float(row[1]), k), *row[2:]] if k % 4 == 1 else row
+                for k, row in enumerate(rows)]
+        table = csv_text([header] + [r for k, row in enumerate(rows)
+                                     for r in ([row, []] if k % 50 == 7 else [row])], newline)
+        for fmt, content in (("jsonl", text), ("csv", table)):
+            path = tmp_path / f"clean.{fmt}"
+            path.write_bytes(content.encode())
+            stream = parse_events(path)
+            assert stream == reference_parse_events(path)
+            assert len(stream) == len(records) and validate_stream(stream) == []
+
+
+def genre_corpus(path, n_events=10_000, n_genres=40, seed=17):
+    """A JSONL corpus in which each genre's videos draw 3 of its 6 tags and one
+    of its 12 uploaders, so tag lists repeat as in a real upload log."""
+    rng = np.random.default_rng(seed)
+    genres = rng.integers(n_genres, size=n_events)
+    with path.open("w", encoding="utf-8") as fh:
+        for k, g in enumerate(genres.tolist()):
+            tags = sorted(f"g{g:02d}t{t}" for t in rng.choice(6, size=3, replace=False))
+            fh.write(json.dumps({
+                "video_id": f"v{k:05d}", "ts": 1.6e9 + 3153.6 * k + float(rng.uniform(0, 60)),
+                "uploader_id": f"g{g:02d}u{int(rng.integers(12)):02d}", "tags": tags,
+                "views": int(rng.poisson(50)), "comments": int(rng.poisson(5))}) + "\n")
+
+
+def traced_peak(parse, path):
+    tracemalloc.start()
+    try:
+        parse(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingDesign:
+    def test_peak_allocation_at_most_half_the_reference(self, tmp_path):
+        path = tmp_path / "genres.jsonl"
+        genre_corpus(path)
+        assert traced_peak(parse_events, path) <= 0.5 * traced_peak(reference_parse_events, path)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_equal_tag_lists_share_one_frozenset(self, tmp_path, fmt):
+        path = tmp_path / f"ev.{fmt}"
+        write_jsonl(path.with_suffix(".jsonl"), [
+            record("v1", 0.0, tags=("a", "b")), record("v2", 60.0, tags=("c",)),
+            record("v3", 120.0, tags=("a", "b"))])
+        if fmt == "csv":
+            write_events(parse_events(path.with_suffix(".jsonl")), path)
+        v1, v2, v3 = parse_events(path).events
+        assert v1.tags is v3.tags and v1.tags == frozenset({"a", "b"})
+        assert v2.tags == frozenset({"c"})
+
+    def test_first_bad_line_wins(self, tmp_path):
+        """A field error on line 2 outranks invalid JSON on line 4, which the
+        reference, decoding every line before checking any field, reported."""
+        path = tmp_path / "ev.jsonl"
+        path.write_text("\n".join([json.dumps(record("v1", 0.0)),
+                                   json.dumps(record("v2", 60.0, views=-1)),
+                                   json.dumps(record("v3", 120.0)), "{broken"]) + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_events(path)
+        assert (err.value.line, err.value.field) == (2, "views")
+        with pytest.raises(ParseError) as err:
+            reference_parse_events(path)
+        assert (err.value.line, err.value.field) == (4, None)
+
+    def test_first_bad_row_wins_in_csv(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text("video_id,ts,uploader_id,tags,views,comments\n"
+                        "v1,0,u1,a,1,0\n"
+                        "v2,60,u1,a,x,0\n"
+                        "v3,120,u1,a,1,0,surplus\n")
+        with pytest.raises(ParseError) as err:
+            parse_events(path)
+        assert (err.value.line, err.value.field) == (3, "views")

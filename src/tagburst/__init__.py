@@ -5,6 +5,11 @@ The pipeline: parse tagged events, cluster tags by co-occurrence, fit a
 self-exciting point process per cluster, benchmark against Poisson-family
 and ARIMA baselines by aic, forecast held-out counts, and attribute
 activity to self-reinforcement, popularity, and exogenous factors.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``
+unless it is already set.  That limits OpenBLAS in this process, if numpy was
+not imported before, and in every child process it starts.  Set the variable
+before the import to keep another number.
 """
 
 import os

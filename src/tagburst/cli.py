@@ -72,7 +72,7 @@ def _artifact_errors(path: Path, produced_by: str):
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}; rerun 'tagburst {produced_by}'") \
             from None
-    except (IndexError, TypeError, ValueError) as exc:  # JSONDecodeError, short CSV rows too
+    except (TypeError, ValueError) as exc:  # ValueError includes json.JSONDecodeError
         raise ValueError(f"{path}: malformed ({exc}); rerun 'tagburst {produced_by}'") \
             from None
 
@@ -90,10 +90,8 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     assign_path = _require_artifact(out / "assignments.csv", "cluster")
     with _artifact_errors(assign_path, "cluster"), \
             assign_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        columns = {name: i for i, name in enumerate(next(reader, ()))}
-        vid, cid = columns["video_id"], columns["cluster_id"]
-        assignment = {row[vid]: int(row[cid]) for row in reader if row}
+        assignment = {row["video_id"]: int(row["cluster_id"])
+                      for row in csv.DictReader(fh)}
     members: dict[int, list] = {}
     for e in stream.events:
         if e.video_id not in assignment:

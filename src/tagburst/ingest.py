@@ -8,6 +8,7 @@ stream exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -129,16 +130,10 @@ def _require_count(value: object, name: str, line: int) -> int:
     return value
 
 
-def _require_tags(raw: object, line: int, shared: dict[object, frozenset[str]]) \
+def _require_tags(raw: object, line: int, shared: dict[frozenset[str], frozenset[str]]) \
         -> frozenset[str]:
-    """The tag set of one record.  ``shared`` maps each tag list already
-    validated (as a tuple, or the raw '|'-joined string) to its frozenset, so
-    records with equal tag lists share one set and validate it once."""
-    key = tuple(raw) if isinstance(raw, list) else raw
-    try:
-        return shared[key]
-    except (KeyError, TypeError):  # a new tag list, or one holding unhashable items
-        pass
+    """The tag set of one record, as the one object ``shared`` already holds
+    for an equal set, so records with equal tag lists share one frozenset."""
     if isinstance(raw, str):
         parts = raw.split("|") if raw else []
     elif isinstance(raw, list):
@@ -150,8 +145,8 @@ def _require_tags(raw: object, line: int, shared: dict[object, frozenset[str]]) 
     for t in parts:
         if not isinstance(t, str) or not t:
             raise ParseError("tags must be non-empty strings", line=line, field="tags")
-    tags = shared[key] = frozenset(parts)
-    return tags
+    tags = frozenset(parts)
+    return shared.setdefault(tags, tags)
 
 
 def _records_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
@@ -214,23 +209,25 @@ def parse_events(path: str | Path, format: str | None = None,
 
     # One pass: each record is checked, field by field in a fixed order, as it
     # is read and reduced to a row, so the first bad line in the file is the
-    # one reported and no decoded record outlives its line.
+    # one reported and no decoded record outlives its line.  Closing the
+    # reader on an error releases the file before the error propagates.
     seen: dict[str, int] = {}
-    shared_tags: dict[object, frozenset[str]] = {}
+    shared_tags: dict[frozenset[str], frozenset[str]] = {}
     rows = []
-    for lineno, rec in records:
-        vid = _require_str(rec.get("video_id"), "video_id", lineno)
-        first = seen.setdefault(vid, lineno)
-        if first != lineno:
-            raise ParseError(
-                f"duplicate video_id {vid!r} (first seen at line {first})", line=lineno,
-                field="video_id")
-        rows.append((
-            _micros_from_ts(rec.get("ts"), lineno), vid,
-            _require_str(rec.get("uploader_id"), "uploader_id", lineno),
-            _require_tags(rec.get("tags"), lineno, shared_tags),
-            _require_count(rec.get("views"), "views", lineno),
-            _require_count(rec.get("comments"), "comments", lineno)))
+    with contextlib.closing(records):
+        for lineno, rec in records:
+            vid = _require_str(rec.get("video_id"), "video_id", lineno)
+            first = seen.setdefault(vid, lineno)
+            if first != lineno:
+                raise ParseError(
+                    f"duplicate video_id {vid!r} (first seen at line {first})", line=lineno,
+                    field="video_id")
+            rows.append((
+                _micros_from_ts(rec.get("ts"), lineno), vid,
+                _require_str(rec.get("uploader_id"), "uploader_id", lineno),
+                _require_tags(rec.get("tags"), lineno, shared_tags),
+                _require_count(rec.get("views"), "views", lineno),
+                _require_count(rec.get("comments"), "comments", lineno)))
     if not rows:
         raise ParseError(f"empty input file: {path}")
 

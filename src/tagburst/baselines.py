@@ -48,6 +48,11 @@ def fit_poisson(times: Sequence[float], T: float) -> FitResult:
     return FitResult("poisson", {"mu": mu}, ll, 1, True, 0)
 
 
+def _check_bin_width(bin_width: float) -> None:
+    if not math.isfinite(bin_width) or bin_width <= 0:
+        raise ValueError(f"bin_width must be positive, got {bin_width}")
+
+
 def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> FitResult:
     """Per-bin MLE rate = count / width; the last bin is truncated at T.
 
@@ -55,8 +60,7 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
     contributes c*(ln r - 1), using r*width = c at the optimum.
     """
     times = _check_times(times, T)
-    if not math.isfinite(bin_width) or bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    _check_bin_width(bin_width)
     n_bins = max(1, int(math.ceil(T / bin_width - 1e-12)))
     edges = np.minimum(np.arange(n_bins + 1) * float(bin_width), T)
     edges[-1] = T
@@ -115,7 +119,7 @@ def _css_residuals(y: Sequence[float], p: int, q: int, c: float,
     The AR prediction c + phi_1 y[t-1] + ... + phi_p y[t-p] is summed
     left to right over whole arrays; the MA recursion (q <= 2) then runs
     over Python floats, adding theta_1 eps[t-1] and then theta_2 eps[t-2],
-    and leaves out a lag that reaches before y[0].
+    with theta_2 = 0 when q = 1.
     """
     if q > 2:
         raise ValueError(f"MA order must be <= 2, got {q}")
@@ -126,26 +130,12 @@ def _css_residuals(y: Sequence[float], p: int, q: int, c: float,
         pred += phi[i] * ya[p - 1 - i:n - 1 - i]
     if q == 0:
         return ya[p:] - pred
-    ys, accs = ya[p:].tolist(), pred.tolist()
-    t0 = float(theta[0])
+    t0, t1 = float(theta[0]), float(theta[1]) if q == 2 else 0.0
     e1 = e2 = 0.0  # eps[t-1], eps[t-2]; zero before the first residual
     eps = []
-    # at t < q an MA lag reaches before y[0]: that term is left out, not
-    # added as theta * 0.0 (which is nan for an infinite theta)
-    lead = min(max(q - p, 0), n - p)
-    for t in range(lead):
-        acc = accs[t] + t0 * e1 if p + t else accs[t]
-        e1, e2 = ys[t] - acc, e1
+    for yt, acc in zip(ya[p:].tolist(), pred.tolist()):
+        e1, e2 = yt - (acc + t0 * e1 + t1 * e2), e1
         eps.append(e1)
-    if q == 1:
-        for yt, acc in zip(ys[lead:], accs[lead:]):
-            e1 = yt - (acc + t0 * e1)
-            eps.append(e1)
-    else:
-        t1 = float(theta[1])
-        for yt, acc in zip(ys[lead:], accs[lead:]):
-            e1, e2 = yt - (acc + t0 * e1 + t1 * e2), e1
-            eps.append(e1)
     return np.asarray(eps, dtype=float)
 
 
@@ -305,22 +295,16 @@ def forecast_arima(params: Mapping[str, object], counts: Sequence[float],
     if y.size < p:
         raise ValueError(f"ARIMA({p}, {d}, {q}) forecast needs at least "
                          f"{p + d} observed counts, got {counts.size}")
-    eps_obs = _css_residuals(y, p, q, intercept, ar, ma)
     ys = y.tolist()
-    eps = [0.0] * p + eps_obs.tolist()
-    preds = []
+    e2, e1 = ([0.0, 0.0] + _css_residuals(y, p, q, intercept, ar, ma).tolist())[-2:]
+    t0, t1 = [float(v) for v in ma] + [0.0] * (2 - q)
     for _ in range(horizon):
-        t = len(ys)
         acc = intercept
         for i in range(p):
-            acc += ar[i] * ys[t - 1 - i]
-        for j in range(q):
-            k = t - 1 - j
-            if k >= 0:
-                acc += ma[j] * eps[k]
-        ys.append(acc)
-        eps.append(0.0)
-        preds.append(acc)
+            acc += ar[i] * ys[-1 - i]
+        ys.append(acc + t0 * e1 + t1 * e2)
+        e1, e2 = 0.0, e1
+    preds = ys[y.size:]
     if d:
         return counts[-1] + np.cumsum(preds)
     return np.asarray(preds)

@@ -241,12 +241,14 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
     An 'ok' row whose fit did not converge keeps its numbers and says so in
     its note.  The pooled 'hawkes_global' model appears once under cluster id -1.
     When both 'hawkes' and 'poisson' ran, aic_differences holds their
-    per-cluster AIC difference (hawkes minus poisson).
+    per-cluster AIC difference (hawkes minus poisson).  An unknown model or a
+    bin_width that is not positive and finite raises before any fit.
     """
     model_list = sorted(set(models))
     unknown = [m for m in model_list if m not in _MODELS]
     if unknown:
         raise ValueError(f"unknown model(s): {', '.join(unknown)}")
+    baselines._check_bin_width(bin_width)
 
     rows: list[EvalRow] = []
     exclusions: list[tuple[int, str]] = []

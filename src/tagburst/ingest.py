@@ -89,9 +89,12 @@ def _micros_from_ts(value: object, line: int) -> int:
     """Normalize an ISO-8601 string or epoch-seconds number to integer microseconds."""
     kind = type(value)  # the exact types a reader yields; a bool is no timestamp
     if kind is float or kind is int:
-        if not math.isfinite(value):
+        if kind is float and not math.isfinite(value):  # an int is always finite
             raise ParseError("timestamp is not finite", line=line, field="ts")
-        return round(value * 1e6)
+        try:
+            return round(value * 1e6)
+        except OverflowError:  # its microseconds pass the float range
+            raise ParseError("timestamp out of range", line=line, field="ts") from None
     if kind is str:
         text = value.strip()
         if not text:

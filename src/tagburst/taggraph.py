@@ -69,38 +69,23 @@ def prune_graph(g: TagGraph, eta: int) -> TagGraph:
     return TagGraph(g.nodes, {k: w for k, w in g.edges.items() if w >= eta})
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-        self.size = {x: 1 for x in self.parent}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def connected_components(g: TagGraph) -> list[set[str]]:
     """Components of the graph, ordered by their lexicographically smallest tag."""
-    uf = _UnionFind(g.nodes)
+    adjacent: dict[str, list[str]] = {node: [] for node in g.nodes}
     for a, b in g.edges:
-        uf.union(a, b)
-    groups: dict[str, set[str]] = {}
-    for node in g.nodes:
-        groups.setdefault(uf.find(node), set()).add(node)
-    return sorted(groups.values(), key=min)
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    unseen = set(g.nodes)
+    components = []
+    while unseen:
+        component = [unseen.pop()]
+        for node in component:  # breadth first: the list grows while it is read
+            for neighbour in adjacent[node]:
+                if neighbour in unseen:
+                    unseen.remove(neighbour)
+                    component.append(neighbour)
+        components.append(set(component))
+    return sorted(components, key=min)
 
 
 def assign_videos(s: EventStream, components: Sequence[set[str]]) -> list[GenreCluster]:

@@ -165,6 +165,40 @@ def loop_css_residuals(y, p, q, c, phi, theta):
     return np.asarray(eps[p:])
 
 
+def loop_forecast_arima(params, counts, horizon):
+    """baselines.forecast_arima as it was with a zero-padded innovation list
+    indexed by day, where an MA lag before y[0] is left out; its residuals
+    come from loop_css_residuals instead of the package's."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    p, d, q = params["p"], params["d"], params["q"]
+    ar, ma, intercept = params["ar"], params["ma"], params["intercept"]
+    counts = np.asarray(counts, dtype=float)
+    y = np.diff(counts, n=d) if d else counts
+    if y.size < p:
+        raise ValueError(f"ARIMA({p}, {d}, {q}) forecast needs at least "
+                         f"{p + d} observed counts, got {counts.size}")
+    eps_obs = loop_css_residuals(y, p, q, intercept, ar, ma)
+    ys = y.tolist()
+    eps = [0.0] * p + eps_obs.tolist()
+    preds = []
+    for _ in range(horizon):
+        t = len(ys)
+        acc = intercept
+        for i in range(p):
+            acc += ar[i] * ys[t - 1 - i]
+        for j in range(q):
+            k = t - 1 - j
+            if k >= 0:
+                acc += ma[j] * eps[k]
+        ys.append(acc)
+        eps.append(0.0)
+        preds.append(acc)
+    if d:
+        return counts[-1] + np.cumsum(preds)
+    return np.asarray(preds)
+
+
 def nelder_mead_css_fit(y, p, q):
     """The ARIMA-lite cell fit before the gradient-based one: minimize the
     conditional sum of squares with the derivative-free simplex from the

@@ -256,6 +256,17 @@ class TestForecast:
         assert err.startswith("error: --models") and err.count("\n") == 1
         assert not (corpus / "forecast.csv").exists()
 
+    def test_bad_bin_width_fails_cleanly(self, corpus, capsys):
+        fitted(corpus)
+        for value in ("0", "-7", "nan"):
+            capsys.readouterr()
+            assert run("forecast", "--input", str(corpus / "events.jsonl"),
+                       "--out", str(corpus), "--train-days", "60",
+                       f"--bin-width={value}") == 1
+            err = capsys.readouterr().err
+            assert err == f"error: bin_width must be positive, got {float(value)}\n"
+            assert not (corpus / "forecast.csv").exists()
+
     def test_missing_train_days_fails(self, corpus, capsys):
         fitted(corpus)
         assert run("forecast", "--input", str(corpus / "events.jsonl"),
@@ -494,6 +505,16 @@ class TestConfigFile:
         for stage in ("cluster", "fit", "attribute"):
             assert run(stage, "--out", str(corpus), "--config", str(cfg)) == 0
         assert read_json(corpus / "attribution.json")["pop_scope"] == "cluster"
+
+    def test_bad_bin_width_fails_cleanly(self, corpus, tmp_path, capsys):
+        fitted(corpus)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("train_days = 60\nbin_width = 0\n")
+        capsys.readouterr()
+        assert run("forecast", "--input", str(corpus / "events.jsonl"),
+                   "--out", str(corpus), "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == "error: bin_width must be positive, got 0.0\n"
+        assert not (corpus / "forecast.csv").exists()
 
     def test_unknown_key_names_file_and_line(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -276,6 +276,12 @@ class TestEvaluateAll:
         with pytest.raises(ValueError, match="unknown model"):
             evaluate_all(corpus_clusters(), default_split(150.0, 60.0), ["sarima"])
 
+    @pytest.mark.parametrize("bin_width", [0.0, -7.0, float("nan"), float("inf")])
+    def test_bad_bin_width_rejected_before_any_fit(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width must be positive"):
+            evaluate_all(corpus_clusters(), default_split(150.0, 60.0), ["pc_nhpp"],
+                         bin_width=bin_width)
+
     def test_aggregates_average_over_clusters(self):
         clusters = corpus_clusters()
         table = evaluate_all(clusters, default_split(150.0, 60.0), ["poisson"])

@@ -119,6 +119,30 @@ class TestParseErrors:
         assert err.value.line == 2
         assert err.value.field == field
 
+    @pytest.mark.parametrize("ts", [1e303, 10 ** 400], ids=["float", "int"])
+    def test_timestamp_past_the_microsecond_range_jsonl(self, tmp_path, capsys, ts):
+        # finite seconds whose microseconds overflow a float
+        path = tmp_path / "ev.jsonl"
+        write_jsonl(path, [record("v1", 0.0), record("v2", ts)])
+        with pytest.raises(ParseError, match="timestamp out of range") as err:
+            parse_events(path)
+        assert (err.value.line, err.value.field) == (2, "ts")
+        assert main(["cluster", "--input", str(path), "--out", str(tmp_path),
+                     "--eta", "1"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_timestamp_past_the_microsecond_range_csv(self, tmp_path, capsys):
+        path = tmp_path / "ev.csv"
+        path.write_text(csv_text([["video_id", "ts", "uploader_id", "tags", "views", "comments"],
+                                  ["v1", "0", "u1", "a|b", "3", "1"],
+                                  ["v2", "1e303", "u1", "a|b", "3", "1"]]))
+        with pytest.raises(ParseError, match="unparseable timestamp '1e303'") as err:
+            parse_events(path)
+        assert (err.value.line, err.value.field) == (3, "ts")
+        assert main(["cluster", "--input", str(path), "--out", str(tmp_path),
+                     "--eta", "1"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "ev.jsonl"
         path.write_text(json.dumps(record("v1", 0.0)) + "\n{broken\n")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .hawkes import FitResult, HawkesParams, _params_from_fit, decay_sums
-from .ingest import Event
+from .ingest import Event, _stream_order
 from .taggraph import GenreCluster
 
 __all__ = [
@@ -113,8 +113,7 @@ def attribution_report(clusters: Sequence[GenreCluster],
 
     platform_means = None
     if pop_scope == "platform":
-        merged = sorted((e for c in clusters for e in c.events.events),
-                        key=lambda e: (e.upload_time, e.video_id))
+        merged = sorted((e for c in clusters for e in c.events.events), key=_stream_order)
         platform_means = _prior_means(merged, w_comments, causal)
 
     reports = []

@@ -10,11 +10,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,7 +20,7 @@ import numpy as np
 from . import attribution, baselines, forecast, simulate, taggraph
 from .hawkes import (FitResult, _params_from_fit, fit_mle, fit_result_from_dict,
                      fit_result_to_dict)
-from .ingest import ParseError, parse_events, write_events
+from .ingest import ParseError, _atomic_write_text, _write_csv, parse_events, write_events
 from .taggraph import GenreCluster
 
 __all__ = ["main"]
@@ -31,29 +28,8 @@ __all__ = ["main"]
 DEFAULT_MODELS = "arima_lite,hawkes,nhpp_drift,pc_nhpp,poisson"
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_json(path: Path, obj: object) -> None:
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
 
 
 def _require_artifact(path: Path, produced_by: str) -> Path:
@@ -142,10 +118,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     stream, truth = simulate.make_synthetic_corpus(
         simulate.default_corpus_spec(), T=args.t_days, seed=args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    tmp = out / "events.jsonl.stage"
-    write_events(stream, tmp, format="jsonl")
-    os.replace(tmp, out / "events.jsonl")
+    write_events(stream, out / "events.jsonl")
     _write_json(out / "ground_truth.json", truth)
     print(f"wrote {out / 'events.jsonl'} ({len(stream)} events) and ground_truth.json")
     return 0
@@ -157,6 +130,14 @@ def cmd_cluster(args) -> int:
     out = Path(args.out)
     stream = parse_events(args.input, format=args.format)
 
+    # the clustering is computed before the sweep writes its table, so a bad
+    # --eta leaves the output directory as it was
+    if args.eta is not None:
+        graph = taggraph.build_affinity_graph(stream)
+        components = taggraph.connected_components(
+            taggraph.prune_graph(graph, args.eta))
+        clusters = taggraph.assign_videos(stream, components)
+
     if args.sweep is not None:
         lo, hi = args.sweep
         rows = taggraph.sweep_eta(stream, range(lo, hi + 1))
@@ -164,12 +145,7 @@ def cmd_cluster(args) -> int:
                   "max_events"]
         _write_csv(out / "eta_sweep.csv", header, [[r[k] for k in header] for r in rows])
         print(f"wrote {out / 'eta_sweep.csv'} ({len(rows)} thresholds)")
-
     if args.eta is not None:
-        graph = taggraph.build_affinity_graph(stream)
-        components = taggraph.connected_components(
-            taggraph.prune_graph(graph, args.eta))
-        clusters = taggraph.assign_videos(stream, components)
         _write_csv(out / "assignments.csv", ["video_id", "cluster_id"],
                    taggraph.assignment_rows(stream, clusters))
         _write_json(out / "clusters.json", {
@@ -203,15 +179,15 @@ def cmd_fit(args) -> int:
 
 def cmd_forecast(args) -> int:
     out = Path(args.out)
-    _require_artifact(out / "fits.json", "fit")
-    stream, clusters, _ = _load_clusters(args)
     if args.train_days is None:
         raise ValueError("forecast needs --train-days")
-    spec = forecast.default_split(stream.horizon_T, args.train_days, args.horizon_days)
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     if not models:
         raise ValueError(f"--models names no model; choose from "
                          f"{', '.join(forecast.KNOWN_MODELS)}")
+    _require_artifact(out / "fits.json", "fit")
+    stream, clusters, _ = _load_clusters(args)
+    spec = forecast.default_split(stream.horizon_T, args.train_days, args.horizon_days)
     table = forecast.evaluate_all(clusters, spec, models, bin_width=args.bin_width)
 
     header = ["cluster_id", "model", "train_days", "horizon_days", "loglik", "aic",

@@ -13,11 +13,14 @@ import csv
 import io
 import json
 import math
+import operator
+import os
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
 
 MICROS_PER_DAY = 86_400_000_000
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# the record schema: the keys of a JSONL record, the columns of a CSV file
 _CSV_COLUMNS = ("video_id", "ts", "uploader_id", "tags", "views", "comments")
 
 
@@ -50,8 +54,7 @@ class ParseError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One upload: identity, time in days since stream origin, and metadata."""
 
     video_id: str
@@ -83,6 +86,10 @@ class EventStream:
         arr = np.array([e.upload_time for e in self.events], dtype=float)
         arr.flags.writeable = False
         return arr
+
+
+# the stream order of events; video ids are unique, so it is total
+_stream_order = operator.attrgetter("upload_time", "video_id")
 
 
 def _micros_from_ts(value: object, line: int) -> int:
@@ -152,12 +159,24 @@ def _require_tags(raw: object, line: int, shared: dict[frozenset[str], frozenset
     return shared.setdefault(tags, tags)
 
 
+def _utf8_line(line: str, lineno: int) -> str:
+    """The line, read with errors="surrogateescape", once it is checked to
+    hold no byte that is not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a byte that failed to decode, escaped
+            byte = ord(line[exc.start]) - 0xDC00
+            raise ParseError(f"invalid UTF-8 byte 0x{byte:02x}", line=lineno) from None
+    return line
+
+
 def _records_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line, decoding a line
     only when the previous record has been consumed."""
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
+            if not _utf8_line(raw, lineno).strip():
                 continue
             try:
                 rec = json.loads(raw)
@@ -170,8 +189,8 @@ def _records_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
 
 def _records_from_csv(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each data row, after checking the header."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.DictReader(_utf8_line(line, n) for n, line in enumerate(fh, start=1))
         if reader.fieldnames is None:
             return
         missing = [c for c in _CSV_COLUMNS if c not in reader.fieldnames]
@@ -235,11 +254,9 @@ def parse_events(path: str | Path, format: str | None = None,
         raise ParseError(f"empty input file: {path}")
 
     base = min(row[0] for row in rows)
-    # video ids are unique, so each comparison stops at (upload_time, video_id)
-    rows = sorted([((micros - base) / MICROS_PER_DAY, vid, uploader, tags, views, comments)
-                   for micros, vid, uploader, tags, views, comments in rows])
-    events = tuple([Event(vid, t, uploader, tags, views, comments)
-                    for t, vid, uploader, tags, views, comments in rows])
+    events = tuple(sorted([
+        Event(vid, (micros - base) / MICROS_PER_DAY, uploader, tags, views, comments)
+        for micros, vid, uploader, tags, views, comments in rows], key=_stream_order))
     last = events[-1].upload_time
     if horizon_T is None:
         horizon_T = last
@@ -248,32 +265,46 @@ def parse_events(path: str | Path, format: str | None = None,
     return EventStream(origin=base / 1e6, events=events, horizon_T=float(horizon_T))
 
 
+def _atomic_write_text(path: Path, text: str) -> None:
+    """Replace path with text in one step, so a reader sees the old file or
+    the new one and a failed write leaves no temporary file.  The file gets
+    the mode a new file from open(path, "w") gets under the current umask."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write_text(path, buf.getvalue())
+
+
 def write_events(stream: EventStream, path: str | Path, format: str | None = None) -> None:
     """Serialize a stream back to the record schema (absolute epoch-second ts)."""
     path = Path(path)
     fmt = _infer_format(path, format)
     origin_us = round(stream.origin * 1e6)
-    rows = []
-    for e in stream.events:
-        ts = (origin_us + round(e.upload_time * MICROS_PER_DAY)) / 1e6
-        rows.append((e.video_id, ts, e.uploader_id, sorted(e.tags), e.n_views, e.n_comments))
-
+    rows = [(e.video_id, (origin_us + round(e.upload_time * MICROS_PER_DAY)) / 1e6,
+             e.uploader_id, sorted(e.tags), e.n_views, e.n_comments) for e in stream.events]
     if fmt == "jsonl":
-        with path.open("w", encoding="utf-8") as fh:
-            for vid, ts, uploader, tags, views, comments in rows:
-                fh.write(json.dumps({
-                    "video_id": vid, "ts": ts, "uploader_id": uploader,
-                    "tags": tags, "views": views, "comments": comments,
-                }, sort_keys=True))
-                fh.write("\n")
+        encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+        _atomic_write_text(path, "".join([
+            encode(dict(zip(_CSV_COLUMNS, row))) + "\n" for row in rows]))
         return
-
-    for _, _, _, tags, _, _ in rows:
-        if any("|" in t for t in tags):
-            raise ValueError("CSV output cannot represent tags containing '|'")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for vid, ts, uploader, tags, views, comments in rows:
-        writer.writerow([vid, repr(ts), uploader, "|".join(tags), views, comments])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    if any("|" in t for row in rows for t in row[3]):
+        raise ValueError("CSV output cannot represent tags containing '|'")
+    _write_csv(path, _CSV_COLUMNS, [(vid, ts, uploader, "|".join(tags), views, comments)
+                                    for vid, ts, uploader, tags, views, comments in rows])

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .hawkes import HawkesParams, _check_times, _excitation
-from .ingest import Event, EventStream
+from .ingest import Event, EventStream, _stream_order
 
 __all__ = [
     "SimConfig",
@@ -167,7 +167,7 @@ def make_synthetic_corpus(spec: Sequence[ClusterSpec], T: float,
             "n_events": int(times.size),
         })
 
-    events.sort(key=lambda e: (e.upload_time, e.video_id))
+    events.sort(key=_stream_order)
     stream = EventStream(origin=SYNTH_ORIGIN, events=tuple(events), horizon_T=float(T))
     truth = {"seed": int(seed), "horizon_days": float(T),
              "clusters": truth_clusters, "labels": labels}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 
 import pytest
@@ -9,10 +10,10 @@ import pytest
 from oracles import drift_log_likelihood
 from tagburst.attribution import attribution_report
 from tagburst.baselines import fit_nhpp_drift
-from tagburst.cli import main
+from tagburst.cli import _write_json, main
 from tagburst.forecast import default_split, split_stream
 from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood
-from tagburst.ingest import parse_events
+from tagburst.ingest import parse_events, write_events
 from tagburst.taggraph import extract_clusters
 
 
@@ -133,6 +134,16 @@ class TestCluster:
             run("cluster", "--input", str(corpus / "events.jsonl"),
                 "--out", str(corpus), "--sweep", "5:1")
         assert exc.value.code == 2
+
+    def test_bad_eta_writes_no_sweep(self, tmp_path, capsys):
+        events = tmp_path / "toy.jsonl"
+        write_toy_events(events)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("cluster", "--input", str(events), "--out", str(out),
+                   "--eta", "0", "--sweep", "1:2") == 1
+        assert capsys.readouterr().err == "error: eta must be a positive integer, got 0\n"
+        assert list(out.iterdir()) == []
 
 
 def clustered(corpus):
@@ -272,6 +283,14 @@ class TestForecast:
         assert run("forecast", "--input", str(corpus / "events.jsonl"),
                    "--out", str(corpus)) == 1
         assert "--train-days" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        ((), "--train-days"), (("--train-days", "60", "--models", ","), "--models")])
+    def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, flags, named):
+        assert run("forecast", "--input", str(tmp_path / "nope.jsonl"),
+                   "--out", str(tmp_path / "out"), *flags) == 1
+        err = capsys.readouterr().err
+        assert named in err and "nope.jsonl" not in err and "fits.json" not in err
 
 
 class TestAttribute:
@@ -555,6 +574,52 @@ class TestConfigFile:
             run("cluster", "--input", str(corpus / "events.jsonl"),
                 "--out", str(corpus), "--config")
         assert exc.value.code == 2
+
+
+def readme_pipeline(out):
+    events = str(out / "events.jsonl")
+    for argv in (["simulate", "--out", str(out), "--seed", "0", "--t-days", "120"],
+                 ["cluster", "--input", events, "--out", str(out), "--eta", "2"],
+                 ["fit", "--input", events, "--out", str(out)],
+                 ["forecast", "--input", events, "--out", str(out), "--train-days", "60"],
+                 ["attribute", "--input", events, "--out", str(out)],
+                 ["report", "--input", events, "--out", str(out)]):
+        assert run(*argv) == 0, argv
+
+
+class TestArtifactFiles:
+    def test_every_file_takes_the_umask_mode(self, tmp_path):
+        """Each file gets the mode that open(path, "w") gives a new file."""
+        out = tmp_path / "run"
+        umask = os.umask(0o027)
+        try:
+            readme_pipeline(out)
+            for name in ("lib.jsonl", "lib.csv"):
+                write_events(parse_events(out / "events.jsonl"), tmp_path / name)
+        finally:
+            os.umask(umask)
+        files = [*out.iterdir(), tmp_path / "lib.jsonl", tmp_path / "lib.csv"]
+        assert len(files) == 15
+        assert {p.name: oct(p.stat().st_mode & 0o777) for p in files} == \
+            {p.name: "0o640" for p in files}
+
+    @pytest.mark.parametrize("name", ["events.jsonl", "events.csv", "fits.json"])
+    def test_a_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, name):
+        write_toy_events(tmp_path / "toy.jsonl")
+        stream = parse_events(tmp_path / "toy.jsonl")
+        path = tmp_path / name
+        path.write_text("earlier\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            if name == "fits.json":
+                _write_json(path, {"eta": 2, "clusters": []})
+            else:
+                write_events(stream, path)
+        assert path.read_text() == "earlier\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "toy.jsonl"])
 
 
 class TestUsageErrors:

@@ -143,6 +143,28 @@ class TestParseErrors:
                      "--eta", "1"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, capsys, fmt):
+        """A byte that is not UTF-8 on a middle line is reported with that
+        line; valid multi-byte UTF-8 on the line before it still parses."""
+        path = tmp_path / f"ev.{fmt}"
+        write_jsonl(path.with_suffix(".jsonl"), [
+            record("v1", 0.0), record("v2", 60.0, tags=("café",)), record("v3", 120.0),
+            record("v4", 180.0)])
+        if fmt == "csv":
+            write_events(parse_events(path.with_suffix(".jsonl")), path)
+        lines = path.read_bytes().split(b"\n")
+        bad = 3 if fmt == "jsonl" else 4  # the CSV header is line 1
+        lines[bad - 1] = lines[bad - 1].replace(b"u1", b"u\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=r"invalid UTF-8 byte 0xff") as err:
+            parse_events(path)
+        assert (err.value.line, err.value.field) == (bad, None)
+        assert main(["cluster", "--input", str(path), "--out", str(tmp_path / "out"),
+                     "--eta", "1"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: invalid UTF-8 byte 0xff (line {bad})\n"
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "ev.jsonl"
         path.write_text(json.dumps(record("v1", 0.0)) + "\n{broken\n")

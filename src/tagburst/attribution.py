@@ -30,11 +30,12 @@ __all__ = [
 TRUNCATION_EXPONENT = 40.0
 
 
-def _psi_values(events: Sequence[Event], w_comments: float) -> np.ndarray:
-    return np.array([e.n_views + w_comments * e.n_comments for e in events], dtype=float)
+def _check_w_comments(w_comments: float) -> None:
+    if not (math.isfinite(w_comments) and w_comments >= 0):
+        raise ValueError(f"w_comments must be >= 0, got {w_comments}")
 
 
-def _prior_means(reference: Sequence[Event], w_comments: float,
+def _prior_means(reference: Sequence[Event], popularity: Mapping[str, float],
                  causal: bool) -> dict[str, float]:
     """Per reference video, the mean popularity of its uploader's reference
     uploads; causal means strictly earlier uploads only, an empty history
@@ -44,7 +45,7 @@ def _prior_means(reference: Sequence[Event], w_comments: float,
     for e in reference:
         total, count = running.get(e.uploader_id, (0.0, 0))
         earlier[e.video_id] = total / count if count else 0.0
-        running[e.uploader_id] = (total + e.n_views + w_comments * e.n_comments, count + 1)
+        running[e.uploader_id] = (total + popularity[e.video_id], count + 1)
     if causal:
         return earlier
     means = {u: total / count for u, (total, count) in running.items()}
@@ -106,24 +107,25 @@ def attribution_report(clusters: Sequence[GenreCluster],
     beats its target's uploader mean over the reference (all clusters, or the
     target's own), taken over strictly earlier uploads when causal.
     """
-    if not (math.isfinite(w_comments) and w_comments >= 0):
-        raise ValueError(f"w_comments must be >= 0, got {w_comments}")
+    _check_w_comments(w_comments)
     if pop_scope not in ("platform", "cluster"):
         raise ValueError(f"pop_scope must be 'platform' or 'cluster', got {pop_scope!r}")
 
+    popularity = {e.video_id: e.n_views + w_comments * e.n_comments
+                  for c in clusters for e in c.events.events}
     platform_means = None
     if pop_scope == "platform":
         merged = sorted((e for c in clusters for e in c.events.events), key=_stream_order)
-        platform_means = _prior_means(merged, w_comments, causal)
+        platform_means = _prior_means(merged, popularity, causal)
 
     reports = []
     for c in clusters:
         fit = fits.get(c.cluster_id)
         events = c.events.events
         uploaders = [e.uploader_id for e in events]
-        psi = _psi_values(events, w_comments)
+        psi = np.array([popularity[e.video_id] for e in events], dtype=float)
         means = platform_means if platform_means is not None \
-            else _prior_means(events, w_comments, causal)
+            else _prior_means(events, popularity, causal)
         thresholds = np.array([means[e.video_id] for e in events], dtype=float)
         try:
             if fit is None:

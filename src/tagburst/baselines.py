@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._optim import MAX_ITER, lazy_minimize, maximize
-from .hawkes import FitResult, _check_times
+from .hawkes import FitResult, _check_positive, _check_times
 
 __all__ = [
     "fit_poisson",
@@ -48,11 +48,6 @@ def fit_poisson(times: Sequence[float], T: float) -> FitResult:
     return FitResult("poisson", {"mu": mu}, ll, 1, True, 0)
 
 
-def _check_bin_width(bin_width: float) -> None:
-    if not math.isfinite(bin_width) or bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-
-
 def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> FitResult:
     """Per-bin MLE rate = count / width; the last bin is truncated at T.
 
@@ -60,7 +55,7 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
     contributes c*(ln r - 1), using r*width = c at the optimum.
     """
     times = _check_times(times, T)
-    _check_bin_width(bin_width)
+    _check_positive("bin_width", bin_width)
     n_bins = max(1, int(math.ceil(T / bin_width - 1e-12)))
     edges = np.minimum(np.arange(n_bins + 1) * float(bin_width), T)
     edges[-1] = T

@@ -18,31 +18,28 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import attribution, baselines, forecast, simulate, taggraph
-from .hawkes import (FitResult, _params_from_fit, fit_mle, fit_result_from_dict,
-                     fit_result_to_dict)
+from .hawkes import (FitResult, _check_positive, _params_from_fit, fit_mle,
+                     fit_result_from_dict, fit_result_to_dict)
 from .ingest import ParseError, _atomic_write_text, _write_csv, parse_events, write_events
 from .taggraph import GenreCluster
 
 __all__ = ["main"]
 
-DEFAULT_MODELS = "arima_lite,hawkes,nhpp_drift,pc_nhpp,poisson"
+# every per-cluster model; the pooled hawkes_global runs only when named
+DEFAULT_MODELS = ",".join(m for m in forecast.KNOWN_MODELS if m != "hawkes_global")
 
 
 def _write_json(path: Path, obj: object) -> None:
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _require_artifact(path: Path, produced_by: str) -> Path:
+@contextlib.contextmanager
+def _artifact_errors(path: Path, produced_by: str):
+    """Require the artifact at path, and turn invalid JSON, or a missing or
+    mistyped field read from it, into a one-line error naming the file."""
     if not path.is_file():
         raise FileNotFoundError(
             f"missing artifact {path}: run 'tagburst {produced_by}' first")
-    return path
-
-
-@contextlib.contextmanager
-def _artifact_errors(path: Path, produced_by: str):
-    """Turn invalid JSON, or a missing or mistyped field read from the
-    artifact at path, into a one-line error naming the file."""
     try:
         yield
     except KeyError as exc:
@@ -53,9 +50,23 @@ def _artifact_errors(path: Path, produced_by: str):
             from None
 
 
-def _load_artifact(path: Path, produced_by: str) -> object:
+def _load_artifact(path: Path, produced_by: str,
+                   clusters: Sequence[GenreCluster] | None = None) -> dict:
+    """Decode the JSON artifact at path.  Given clusters, refuse it when its
+    {cluster_id, n_events} entries under "clusters" are not those clusters
+    and their event counts."""
     with _artifact_errors(path, produced_by):
-        return json.loads(_require_artifact(path, produced_by).read_text())
+        doc = json.loads(path.read_text())
+        if clusters is None:
+            return doc
+        stored = {e["cluster_id"]: e["n_events"] for e in doc["clusters"]}
+    current = {c.cluster_id: len(c.events) for c in clusters}
+    if stored != current:
+        cid = next(k for k in [*current, *stored] if stored.get(k) != current.get(k))
+        raise ValueError(f"{path}: stale (cluster {cid}: {current.get(cid, 0)} events "
+                         f"clustered, {stored.get(cid, 0)} in {path.name}); "
+                         f"rerun 'tagburst {produced_by}'")
+    return doc
 
 
 def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
@@ -63,7 +74,7 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     out = Path(args.out)
     stream = parse_events(args.input, format=args.format)
     meta = _load_artifact(out / "clusters.json", "cluster")
-    assign_path = _require_artifact(out / "assignments.csv", "cluster")
+    assign_path = out / "assignments.csv"
     with _artifact_errors(assign_path, "cluster"), \
             assign_path.open(newline="", encoding="utf-8") as fh:
         assignment = {row["video_id"]: int(row["cluster_id"])
@@ -82,27 +93,12 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     return stream, clusters, meta
 
 
-def _load_current(path: Path, produced_by: str, clusters: Sequence[GenreCluster]) -> dict:
-    """Load an artifact, refusing it when its {cluster_id, n_events} entries
-    under "clusters" are not the loaded clusters and their event counts."""
-    doc = _load_artifact(path, produced_by)
-    with _artifact_errors(path, produced_by):
-        stored = {e["cluster_id"]: e["n_events"] for e in doc["clusters"]}
-    current = {c.cluster_id: len(c.events) for c in clusters}
-    if stored != current:
-        cid = next(k for k in [*current, *stored] if stored.get(k) != current.get(k))
-        raise ValueError(f"{path}: stale (cluster {cid}: {current.get(cid, 0)} events "
-                         f"clustered, {stored.get(cid, 0)} in {path.name}); "
-                         f"rerun 'tagburst {produced_by}'")
-    return doc
-
-
 def _load_fits(out: Path, clusters: Sequence[GenreCluster]) \
         -> tuple[dict, dict[int, tuple[FitResult | None, FitResult | None]]]:
     """fits.json and each cluster's (hawkes, poisson) fits, None where a fit
     failed; refuses a stale file or a Hawkes parameter that is not a number."""
     path = out / "fits.json"
-    doc = _load_current(path, "fit", clusters)
+    doc = _load_artifact(path, "fit", clusters)
     fits = {}
     with _artifact_errors(path, "fit"):
         for entry in doc["clusters"]:
@@ -127,6 +123,8 @@ def cmd_simulate(args) -> int:
 def cmd_cluster(args) -> int:
     if args.eta is None and args.sweep is None:
         raise ValueError("cluster needs --eta and/or --sweep A:B")
+    if args.eta is not None:
+        taggraph._check_eta(args.eta)
     out = Path(args.out)
     stream = parse_events(args.input, format=args.format)
 
@@ -185,7 +183,12 @@ def cmd_forecast(args) -> int:
     if not models:
         raise ValueError(f"--models names no model; choose from "
                          f"{', '.join(forecast.KNOWN_MODELS)}")
-    _require_artifact(out / "fits.json", "fit")
+    models = forecast._check_models(models)
+    _check_positive("train_days", args.train_days)
+    _check_positive("horizon_days", args.horizon_days)
+    _check_positive("bin_width", args.bin_width)
+    # the stage fits its own models: fits.json only has to show that fit ran
+    _load_artifact(out / "fits.json", "fit")
     stream, clusters, _ = _load_clusters(args)
     spec = forecast.default_split(stream.horizon_T, args.train_days, args.horizon_days)
     table = forecast.evaluate_all(clusters, spec, models, bin_width=args.bin_width)
@@ -198,7 +201,7 @@ def cmd_forecast(args) -> int:
         "train_days": spec.train_days,
         "horizon_days": spec.horizon_days,
         "split_point": spec.split_point,
-        "models": sorted(set(models)),
+        "models": models,
         "clusters": [{"cluster_id": c.cluster_id, "n_events": len(c.events)}
                      for c in clusters],
         "rows": [vars(r) for r in table.rows],
@@ -225,6 +228,7 @@ def _factor_rows(records: Sequence[dict]) -> list[list]:
 
 def cmd_attribute(args) -> int:
     out = Path(args.out)
+    attribution._check_w_comments(args.w_comments)
     _, clusters, _ = _load_clusters(args)
     fits = {cid: hawkes for cid, (hawkes, _) in _load_fits(out, clusters)[1].items()
             if hawkes is not None}
@@ -250,8 +254,8 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     _, clusters, clusters_doc = _load_clusters(args)
     fits_doc, fits = _load_fits(out, clusters)
-    forecast_doc = _load_current(out / "forecast.json", "forecast", clusters)
-    attribution_doc = _load_current(out / "attribution.json", "attribute", clusters)
+    forecast_doc = _load_artifact(out / "forecast.json", "forecast", clusters)
+    attribution_doc = _load_artifact(out / "attribution.json", "attribute", clusters)
 
     aic_rows = [[cid, hawkes.aic, poisson.aic, hawkes.aic - poisson.aic]
                 for cid, (hawkes, poisson) in fits.items()

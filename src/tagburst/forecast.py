@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines
-from .hawkes import (FitResult, HawkesParams, _check_times, _excitation, _loglik_and_grad,
-                     _params_from_fit, fit_mle)
+from .hawkes import (FitResult, HawkesParams, _check_positive, _check_times, _excitation,
+                     _loglik_and_grad, _params_from_fit, fit_mle)
 from .taggraph import GenreCluster
 
 __all__ = [
@@ -44,10 +44,8 @@ class SplitSpec:
     horizon_days: float = 14.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.train_days) and self.train_days > 0):
-            raise ValueError(f"train_days must be positive, got {self.train_days}")
-        if not (math.isfinite(self.horizon_days) and self.horizon_days > 0):
-            raise ValueError(f"horizon_days must be positive, got {self.horizon_days}")
+        _check_positive("train_days", self.train_days)
+        _check_positive("horizon_days", self.horizon_days)
         if self.split_point - self.train_days < 0:
             raise ValueError(
                 f"training window starts before 0 (split_point={self.split_point}, "
@@ -230,6 +228,15 @@ _MODELS = {"arima_lite": _arima_lite, "hawkes": _hawkes, "hawkes_global": _hawke
 KNOWN_MODELS = tuple(_MODELS)
 
 
+def _check_models(models: Sequence[str]) -> list[str]:
+    """The distinct model names in sorted order; raises on an unknown one."""
+    model_list = sorted(set(models))
+    unknown = [m for m in model_list if m not in _MODELS]
+    if unknown:
+        raise ValueError(f"unknown model(s): {', '.join(unknown)}")
+    return model_list
+
+
 def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
                  models: Sequence[str], *, bin_width: float = 7.0) -> EvaluationTable:
     """Fit every requested model per cluster on the training window and score
@@ -244,11 +251,8 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
     per-cluster AIC difference (hawkes minus poisson).  An unknown model or a
     bin_width that is not positive and finite raises before any fit.
     """
-    model_list = sorted(set(models))
-    unknown = [m for m in model_list if m not in _MODELS]
-    if unknown:
-        raise ValueError(f"unknown model(s): {', '.join(unknown)}")
-    baselines._check_bin_width(bin_width)
+    model_list = _check_models(models)
+    _check_positive("bin_width", bin_width)
 
     rows: list[EvalRow] = []
     exclusions: list[tuple[int, str]] = []

@@ -64,7 +64,8 @@ class HawkesParams:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted model summary; its aic is derived from log_likelihood and n_params."""
+    """Fitted model summary; its aic and branching_ratio are derived from its
+    other fields."""
 
     model: str
     params: dict
@@ -72,7 +73,6 @@ class FitResult:
     n_params: int
     converged: bool
     n_iterations: int
-    branching_ratio: float | None = None
     warnings: tuple[str, ...] = ()
     optimizer: str | None = None  # the _optim.maximize route, for fits that take one
     grad_max: float | None = None  # gradient sup-norm at the returned point
@@ -80,6 +80,11 @@ class FitResult:
     @property
     def aic(self) -> float:
         return 2.0 * self.n_params - 2.0 * self.log_likelihood
+
+    @property
+    def branching_ratio(self) -> float | None:
+        """beta/omega of a Hawkes fit's params; None for any other model."""
+        return _params_from_fit(self).branching_ratio if self.model == "hawkes" else None
 
 
 def fit_result_to_dict(fit: FitResult) -> dict:
@@ -108,8 +113,8 @@ def fit_result_from_dict(d: Mapping[str, object]) -> FitResult:
     return FitResult(
         d["model"], {k: v for k, v in d.items() if k not in reserved}, float(d["loglik"]),
         int(d["n_params"]), bool(d["converged"]), int(d["n_iter"]),
-        branching_ratio=d.get("branching_ratio"), warnings=tuple(d.get("warnings", ())),
-        optimizer=d.get("optimizer"), grad_max=d.get("grad_max"))
+        warnings=tuple(d.get("warnings", ())), optimizer=d.get("optimizer"),
+        grad_max=d.get("grad_max"))
 
 
 def _params_from_fit(fit: FitResult) -> HawkesParams:
@@ -120,13 +125,19 @@ def _params_from_fit(fit: FitResult) -> HawkesParams:
         raise ValueError(f"fit for model {fit.model!r} lacks parameter {exc}") from None
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Raise unless value is positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _check_times(times: Sequence[float], T: float | None = None) -> np.ndarray:
     """Event times as a finite, ascending 1-D array; given T, also inside [0, T]."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("event times must be one-dimensional")
-    if T is not None and (not math.isfinite(T) or T <= 0):
-        raise ValueError(f"observation window T must be positive, got {T}")
+    if T is not None:
+        _check_positive("observation window T", T)
     if times.size:
         if not np.all(np.isfinite(times)):
             raise ValueError("event times must be finite")
@@ -242,8 +253,7 @@ def fit_mle(times: Sequence[float], T: float) -> FitResult:
         warnings.append("effectively_poisson")
     return FitResult(
         "hawkes", {"mu": params.mu, "beta": params.beta, "omega": params.omega},
-        res.value, 3, res.converged, res.n_iter,
-        branching_ratio=params.branching_ratio, warnings=tuple(warnings),
+        res.value, 3, res.converged, res.n_iter, warnings=tuple(warnings),
         optimizer=res.route, grad_max=res.grad_max)
 
 

@@ -110,9 +110,12 @@ def _micros_from_ts(value: object, line: int) -> int:
             dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
         except ValueError:
             try:
-                return _micros_from_ts(float(text), line)
-            except (ValueError, ParseError):
+                seconds = float(text)
+            except ValueError:
+                seconds = math.nan  # unparseable, as are 'nan' and 'inf'
+            if not math.isfinite(seconds):
                 raise ParseError(f"unparseable timestamp {text!r}", line=line, field="ts") from None
+            return _micros_from_ts(seconds, line)
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         delta = dt - _EPOCH

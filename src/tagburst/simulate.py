@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hawkes import HawkesParams, _check_times, _excitation
+from .hawkes import HawkesParams, _check_positive, _check_times, _excitation
 from .ingest import Event, EventStream, _stream_order
 
 __all__ = [
@@ -129,8 +129,7 @@ def make_synthetic_corpus(spec: Sequence[ClusterSpec], T: float,
     zero.  Returns the merged stream and a ground-truth dict with the true
     parameters and video labels.
     """
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"corpus length T must be positive, got {T}")
+    _check_positive("corpus length T", T)
     all_tags: set[str] = set()
     for cs in spec:
         if all_tags & cs.tags:

@@ -61,11 +61,16 @@ def build_affinity_graph(s: EventStream) -> TagGraph:
     return TagGraph(frozenset(nodes), dict(weights))
 
 
-def prune_graph(g: TagGraph, eta: int) -> TagGraph:
-    """Drop edges with weight < eta; nodes are kept even if isolated."""
+def _check_eta(eta: int) -> int:
+    """eta as an int; raises unless it is a positive integer."""
     if int(eta) != eta or eta < 1:
         raise ValueError(f"eta must be a positive integer, got {eta!r}")
-    eta = int(eta)
+    return int(eta)
+
+
+def prune_graph(g: TagGraph, eta: int) -> TagGraph:
+    """Drop edges with weight < eta; nodes are kept even if isolated."""
+    eta = _check_eta(eta)
     return TagGraph(g.nodes, {k: w for k, w in g.edges.items() if w >= eta})
 
 

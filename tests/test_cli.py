@@ -130,10 +130,16 @@ class TestCluster:
         assert "nope.jsonl" in capsys.readouterr().err
 
     def test_bad_sweep_syntax_is_usage_error(self, corpus):
-        with pytest.raises(SystemExit) as exc:
-            run("cluster", "--input", str(corpus / "events.jsonl"),
-                "--out", str(corpus), "--sweep", "5:1")
-        assert exc.value.code == 2
+        for sweep in ("5:1", "a:b"):
+            with pytest.raises(SystemExit) as exc:
+                run("cluster", "--input", str(corpus / "events.jsonl"),
+                    "--out", str(corpus), "--sweep", sweep)
+            assert exc.value.code == 2
+
+    def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys):
+        assert run("cluster", "--input", str(tmp_path / "nope.jsonl"),
+                   "--out", str(tmp_path / "out"), "--eta", "0") == 1
+        assert capsys.readouterr().err == "error: eta must be a positive integer, got 0\n"
 
     def test_bad_eta_writes_no_sweep(self, tmp_path, capsys):
         events = tmp_path / "toy.jsonl"
@@ -163,6 +169,16 @@ class TestFit:
         assert run("fit", "--input", str(corpus / "events.jsonl"),
                    "--out", str(corpus)) == 1
         assert "tagburst cluster" in capsys.readouterr().err
+
+    def test_assignments_lacking_a_video_fail(self, corpus, capsys):
+        clustered(corpus)
+        path = corpus / "assignments.csv"
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(rest))
+        video = first.split(",")[0]
+        assert run("fit", "--input", str(corpus / "events.jsonl"), "--out", str(corpus)) == 1
+        assert capsys.readouterr().err == \
+            f"error: assignments.csv lacks video {video!r}; rerun 'tagburst cluster'\n"
 
     def test_writes_both_models_per_cluster(self, corpus):
         fitted(corpus)
@@ -285,15 +301,29 @@ class TestForecast:
         assert "--train-days" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
-        ((), "--train-days"), (("--train-days", "60", "--models", ","), "--models")])
+        ((), "--train-days"), (("--train-days", "60", "--models", ","), "--models"),
+        (("--train-days", "60", "--models", "hawkes,sarima"), "unknown model(s): sarima"),
+        (("--train-days", "0"), "train_days must be positive"),
+        (("--train-days", "60", "--horizon-days=-1"), "horizon_days must be positive"),
+        (("--train-days", "60", "--horizon-days", "0"), "horizon_days must be positive"),
+        (("--train-days", "60", "--horizon-days", "nan"), "horizon_days must be positive"),
+        (("--train-days", "60", "--bin-width", "0"), "bin_width must be positive")])
     def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, flags, named):
         assert run("forecast", "--input", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "out"), *flags) == 1
         err = capsys.readouterr().err
         assert named in err and "nope.jsonl" not in err and "fits.json" not in err
+        assert err.count("\n") == 1
 
 
 class TestAttribute:
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, value):
+        assert run("attribute", "--input", str(tmp_path / "nope.jsonl"),
+                   "--out", str(tmp_path / "out"), f"--w-comments={value}") == 1
+        assert capsys.readouterr().err == \
+            f"error: w_comments must be >= 0, got {float(value)}\n"
+
     def test_shares_written_and_sum_to_one(self, corpus):
         fitted(corpus)
         assert run("attribute", "--input", str(corpus / "events.jsonl"),
@@ -450,10 +480,12 @@ class TestMalformedArtifacts:
          "malformed (invalid literal"),
         ("fit", "assignments.csv", lambda text: re.sub(r",\d+\n", "\n", text, count=1),
          "malformed ("),
+        ("attribute", "fits.json", drop("clusters", 0, "hawkes", "beta"),
+         "malformed (fit for model 'hawkes' lacks parameter 'beta')"),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
             "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
             "mu-not-a-number", "report-mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number",
-            "assignments-row-without-cluster-id"])
+            "assignments-row-without-cluster-id", "hawkes-without-beta"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")
@@ -524,6 +556,14 @@ class TestConfigFile:
         for stage in ("cluster", "fit", "attribute"):
             assert run(stage, "--out", str(corpus), "--config", str(cfg)) == 0
         assert read_json(corpus / "attribution.json")["pop_scope"] == "cluster"
+
+    def test_switch_takes_only_true_or_false(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("all_time_average = yes\n")
+        assert run("attribute", "--input", str(corpus / "events.jsonl"),
+                   "--out", str(corpus), "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:1: all_time_average takes true or false, got 'yes'\n"
 
     def test_bad_bin_width_fails_cleanly(self, corpus, tmp_path, capsys):
         fitted(corpus)

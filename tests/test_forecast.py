@@ -238,6 +238,22 @@ class TestEvaluateAll:
             assert row.predicted == conditional_mean_count(
                 HawkesParams(**fit.params), train, spec.train_days, spec.horizon_days)
 
+    def test_arima_lite_credits_a_fractional_last_day_pro_rata(self):
+        clusters = corpus_clusters()
+        spec = default_split(150.0, train_days=60.0, horizon_days=3.5)
+        table = evaluate_all(clusters, spec, ["arima_lite"])
+        offset = spec.split_point - spec.train_days
+        assert [r.cluster_id for r in table.rows] == [c.cluster_id for c in clusters]
+        for c, row in zip(clusters, table.rows):
+            train = split_stream(c.events.times, spec)[0] - offset
+            days = np.clip(np.floor(train).astype(int), 0, 59)
+            counts = np.bincount(days, minlength=60).astype(float)
+            levels = baselines.forecast_arima(baselines.fit_arima_lite(counts).params,
+                                              counts, 4)
+            assert row.status == "ok"
+            assert row.predicted == max(float(np.sum(levels[:3])) + 0.5 * float(levels[3]),
+                                        0.0)
+
     def test_rows_carry_the_fits_optimizer_route(self):
         clusters = corpus_clusters()
         spec = default_split(150.0, train_days=60.0)

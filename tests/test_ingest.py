@@ -82,10 +82,19 @@ class TestParsing:
 
 class TestParseErrors:
     def test_empty_file(self, tmp_path):
-        path = tmp_path / "ev.jsonl"
-        path.write_text("")
-        with pytest.raises(ParseError, match="empty"):
+        for name in ("ev.jsonl", "ev.csv"):
+            path = tmp_path / name
+            path.write_text("")
+            with pytest.raises(ParseError, match="empty"):
+                parse_events(path)
+
+    def test_csv_header_missing_a_column(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        path.write_text(csv_text([["video_id", "ts", "uploader_id", "tags", "views"],
+                                  ["v1", "0", "u1", "a|b", "3"]]))
+        with pytest.raises(ParseError, match="missing column.s.: comments") as err:
             parse_events(path)
+        assert err.value.line == 1
 
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ParseError, match="nope.jsonl"):
@@ -136,12 +145,21 @@ class TestParseErrors:
         path.write_text(csv_text([["video_id", "ts", "uploader_id", "tags", "views", "comments"],
                                   ["v1", "0", "u1", "a|b", "3", "1"],
                                   ["v2", "1e303", "u1", "a|b", "3", "1"]]))
-        with pytest.raises(ParseError, match="unparseable timestamp '1e303'") as err:
+        with pytest.raises(ParseError, match="timestamp out of range") as err:
             parse_events(path)
         assert (err.value.line, err.value.field) == (3, "ts")
         assert main(["cluster", "--input", str(path), "--out", str(tmp_path),
                      "--eta", "1"]) == 1
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("cell", ["inf", "-1e400"])
+    def test_non_finite_timestamp_string_is_unparseable(self, tmp_path, cell):
+        path = tmp_path / "ev.csv"
+        path.write_text(csv_text([["video_id", "ts", "uploader_id", "tags", "views", "comments"],
+                                  ["v1", "0", "u1", "a|b", "3", "1"],
+                                  ["v2", cell, "u1", "a|b", "3", "1"]]))
+        with pytest.raises(ParseError, match=f"unparseable timestamp '{cell}'"):
+            parse_events(path)
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     def test_undecodable_byte_names_its_line(self, tmp_path, capsys, fmt):

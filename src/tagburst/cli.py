@@ -70,24 +70,32 @@ def _load_artifact(path: Path, produced_by: str,
 
 
 def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
-    """Rebuild GenreClusters from the input events plus the cluster artifacts."""
+    """Rebuild GenreClusters from the input events plus the cluster artifacts;
+    refuses a clusters.json whose cluster ids are not those of assignments.csv."""
     out = Path(args.out)
     stream = parse_events(args.input, format=args.format)
-    meta = _load_artifact(out / "clusters.json", "cluster")
-    assign_path = out / "assignments.csv"
+    meta_path, assign_path = out / "clusters.json", out / "assignments.csv"
+    meta = _load_artifact(meta_path, "cluster")
+    with _artifact_errors(meta_path, "cluster"):
+        tags = {c["cluster_id"]: frozenset(c["tags"]) for c in meta["clusters"]}
     with _artifact_errors(assign_path, "cluster"), \
             assign_path.open(newline="", encoding="utf-8") as fh:
         assignment = {row["video_id"]: int(row["cluster_id"])
                       for row in csv.DictReader(fh)}
+    assigned = set(assignment.values())
+    if assigned != tags.keys():
+        cid = min(assigned ^ tags.keys())
+        only_in = assign_path.name if cid in assigned else meta_path.name
+        raise ValueError(f"{meta_path}: stale (cluster {cid} is only in {only_in}); "
+                         f"rerun 'tagburst cluster'")
     members: dict[int, list] = {}
     for e in stream.events:
         if e.video_id not in assignment:
-            raise ValueError(f"assignments.csv lacks video {e.video_id!r}; rerun 'tagburst cluster'")
+            raise ValueError(f"{assign_path}: lacks video {e.video_id!r}; "
+                             f"rerun 'tagburst cluster'")
         members.setdefault(assignment[e.video_id], []).append(e)
-    with _artifact_errors(out / "clusters.json", "cluster"):
-        tags = {c["cluster_id"]: frozenset(c["tags"]) for c in meta["clusters"]}
     clusters = [
-        GenreCluster(cluster_id=cid, tags=tags.get(cid, frozenset()),
+        GenreCluster(cluster_id=cid, tags=tags[cid],
                      events=type(stream)(stream.origin, tuple(evs), stream.horizon_T))
         for cid, evs in sorted(members.items())]
     return stream, clusters, meta
@@ -127,29 +135,27 @@ def cmd_cluster(args) -> int:
         taggraph._check_eta(args.eta)
     out = Path(args.out)
     stream = parse_events(args.input, format=args.format)
-
-    # the clustering is computed before the sweep writes its table, so a bad
-    # --eta leaves the output directory as it was
-    if args.eta is not None:
-        graph = taggraph.build_affinity_graph(stream)
-        components = taggraph.connected_components(
-            taggraph.prune_graph(graph, args.eta))
-        clusters = taggraph.assign_videos(stream, components)
-
     if args.sweep is not None:
         lo, hi = args.sweep
         rows = taggraph.sweep_eta(stream, range(lo, hi + 1))
-        header = ["eta", "n_components", "n_clusters", "min_events", "mean_events",
-                  "max_events"]
-        _write_csv(out / "eta_sweep.csv", header, [[r[k] for k in header] for r in rows])
+        _write_csv(out / "eta_sweep.csv", list(rows[0]), [list(r.values()) for r in rows])
         print(f"wrote {out / 'eta_sweep.csv'} ({len(rows)} thresholds)")
     if args.eta is not None:
+        components, clusters = taggraph._clustering(
+            stream, taggraph.build_affinity_graph(stream), args.eta)
+        cluster_of = {e.video_id: c.cluster_id for c in clusters for e in c.events.events}
         _write_csv(out / "assignments.csv", ["video_id", "cluster_id"],
-                   taggraph.assignment_rows(stream, clusters))
+                   [(e.video_id, cluster_of[e.video_id]) for e in stream.events])
         _write_json(out / "clusters.json", {
             "eta": args.eta,
             "n_components": len(components),
-            "clusters": taggraph.cluster_summaries(clusters),
+            "clusters": [{
+                "cluster_id": c.cluster_id,
+                "tags": sorted(c.tags),
+                "n_events": len(c.events),
+                "first_time": c.events.events[0].upload_time,
+                "last_time": c.events.events[-1].upload_time,
+            } for c in clusters],
         })
         print(f"wrote {out / 'clusters.json'} ({len(clusters)} clusters "
               f"from {len(components)} components at eta={args.eta})")
@@ -389,7 +395,14 @@ def _apply_config(path: Path, stage: argparse.ArgumentParser,
         elif action.choices is not None and value not in action.choices:
             raise ValueError(f"{path}:{lineno}: {key} must be one of "
                              f"{', '.join(action.choices)}, got {value!r}")
-        # argparse converts a string default with the flag's type; explicit flags win
+        elif action.type is not None:
+            try:  # converted here, so argparse keeps the default as it is
+                value = action.type(value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+                reason = str(exc) if isinstance(exc, argparse.ArgumentTypeError) \
+                    else f"invalid {action.type.__name__} value {value!r}"
+                raise ValueError(f"{path}:{lineno}: {key}: {reason}") from None
+        # explicit flags win over the default
         action.default = value
         action.required = False
 

@@ -23,8 +23,6 @@ __all__ = [
     "connected_components",
     "assign_videos",
     "extract_clusters",
-    "assignment_rows",
-    "cluster_summaries",
     "sweep_eta",
 ]
 
@@ -35,12 +33,6 @@ class TagGraph:
 
     nodes: frozenset[str]
     edges: dict[tuple[str, str], int]
-
-    def weight(self, t1: str, t2: str) -> int:
-        if t1 == t2:
-            return 0
-        key = (t1, t2) if t1 < t2 else (t2, t1)
-        return self.edges.get(key, 0)
 
 
 @dataclass(frozen=True)
@@ -134,35 +126,25 @@ def assign_videos(s: EventStream, components: Sequence[set[str]]) -> list[GenreC
     return clusters
 
 
+def _clustering(s: EventStream, graph: TagGraph, eta: int) \
+        -> tuple[list[set[str]], list[GenreCluster]]:
+    """The components of graph pruned at eta, and the clusters of s's videos."""
+    components = connected_components(prune_graph(graph, eta))
+    return components, assign_videos(s, components)
+
+
 def extract_clusters(s: EventStream, eta: int) -> list[GenreCluster]:
     """Full pipeline: affinity graph -> prune at eta -> components -> assignment."""
-    graph = prune_graph(build_affinity_graph(s), eta)
-    return assign_videos(s, connected_components(graph))
-
-
-def assignment_rows(s: EventStream, clusters: Sequence[GenreCluster]) -> list[tuple[str, int]]:
-    """(video_id, cluster_id) rows in stream order."""
-    by_video = {e.video_id: c.cluster_id for c in clusters for e in c.events.events}
-    return [(e.video_id, by_video[e.video_id]) for e in s.events]
-
-
-def cluster_summaries(clusters: Sequence[GenreCluster]) -> list[dict]:
-    return [{
-        "cluster_id": c.cluster_id,
-        "tags": sorted(c.tags),
-        "n_events": len(c.events),
-        "first_time": c.events.events[0].upload_time,
-        "last_time": c.events.events[-1].upload_time,
-    } for c in clusters]
+    return _clustering(s, build_affinity_graph(s), eta)[1]
 
 
 def sweep_eta(s: EventStream, etas: Iterable[int]) -> list[dict]:
-    """Component count and cluster-size distribution per pruning threshold."""
+    """Component count and cluster-size distribution per pruning threshold,
+    one row per eta with its keys in column order."""
     graph = build_affinity_graph(s)
     rows = []
     for eta in etas:
-        comps = connected_components(prune_graph(graph, eta))
-        clusters = assign_videos(s, comps)
+        comps, clusters = _clustering(s, graph, eta)
         sizes = [len(c.events) for c in clusters]
         rows.append({
             "eta": int(eta),

@@ -1,6 +1,7 @@
 """End-to-end behavior of the pipeline commands (in-process)."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -178,7 +179,7 @@ class TestFit:
         video = first.split(",")[0]
         assert run("fit", "--input", str(corpus / "events.jsonl"), "--out", str(corpus)) == 1
         assert capsys.readouterr().err == \
-            f"error: assignments.csv lacks video {video!r}; rerun 'tagburst cluster'\n"
+            f"error: {path}: lacks video {video!r}; rerun 'tagburst cluster'\n"
 
     def test_writes_both_models_per_cluster(self, corpus):
         fitted(corpus)
@@ -293,6 +294,20 @@ class TestForecast:
             err = capsys.readouterr().err
             assert err == f"error: bin_width must be positive, got {float(value)}\n"
             assert not (corpus / "forecast.csv").exists()
+
+    def test_refused_rows_are_counted(self, corpus, capsys, monkeypatch):
+        fitted(corpus)
+
+        def supercritical(times, T):
+            return dataclasses.replace(fit_mle(times, T), warnings=("supercritical",))
+        monkeypatch.setattr("tagburst.forecast.fit_mle", supercritical)
+        capsys.readouterr()
+        assert run("forecast", "--input", str(corpus / "events.jsonl"), "--out", str(corpus),
+                   "--train-days", "60", "--models", "hawkes,poisson") == 0
+        assert capsys.readouterr().out == \
+            f"wrote {corpus / 'forecast.csv'} (6 rows, 3 refused)\n"
+        assert [r["status"] for r in read_csv(corpus / "forecast.csv")] == \
+            ["refused", "ok"] * 3
 
     def test_missing_train_days_fails(self, corpus, capsys):
         fitted(corpus)
@@ -482,10 +497,16 @@ class TestMalformedArtifacts:
          "malformed ("),
         ("attribute", "fits.json", drop("clusters", 0, "hawkes", "beta"),
          "malformed (fit for model 'hawkes' lacks parameter 'beta')"),
+        ("fit", "clusters.json", lambda doc: doc["clusters"].pop(),
+         "stale (cluster 2 is only in assignments.csv); rerun 'tagburst cluster'\n"),
+        ("report", "clusters.json",
+         lambda doc: doc["clusters"].append({**doc["clusters"][0], "cluster_id": 3}),
+         "stale (cluster 3 is only in clusters.json); rerun 'tagburst cluster'\n"),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
             "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
             "mu-not-a-number", "report-mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number",
-            "assignments-row-without-cluster-id", "hawkes-without-beta"])
+            "assignments-row-without-cluster-id", "hawkes-without-beta",
+            "cluster-dropped-from-clusters", "extra-cluster-in-clusters"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")
@@ -592,6 +613,19 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:2" in err and "bogus" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("stage, line, reason", [
+        ("forecast", "train_days = abc", "train_days: invalid float value 'abc'"),
+        ("cluster", "eta = 1.5", "eta: invalid int value '1.5'"),
+        ("cluster", "sweep = 3", "sweep: expected A:B with integers, got '3'"),
+    ], ids=["train-days", "eta", "sweep"])
+    def test_value_the_flag_cannot_convert_names_file_and_line(
+            self, tmp_path, capsys, stage, line, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# {stage}\n{line}\n")
+        assert run(stage, "--input", str(tmp_path / "events.jsonl"), "--out", str(tmp_path),
+                   "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: {reason}\n"
 
     def test_format_outside_choices_names_file_and_line(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

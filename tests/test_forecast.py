@@ -120,6 +120,12 @@ class TestConditionalMean:
     def test_zero_horizon(self):
         assert conditional_mean_count(P, [1.0], 2.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("delta_t", [-1.0, float("nan"), float("inf")])
+    def test_window_length_must_be_finite_and_non_negative(self, delta_t):
+        with pytest.raises(ValueError) as exc:
+            conditional_mean_count(P, [1.0], 2.0, delta_t)
+        assert str(exc.value) == f"delta_t must be >= 0, got {delta_t}"
+
     def test_poisson_case_is_rate_times_window(self):
         p = HawkesParams(0.7, 0.0, 1.0)
         assert conditional_mean_count(p, [1.0, 2.0], 5.0, 3.0) == 0.7 * 3.0
@@ -190,6 +196,16 @@ class TestHoldout:
             holdout_log_likelihood(P, [1.0], [2.5], 3.0, 5.0)
         with pytest.raises(ValueError):
             holdout_log_likelihood(P, [1.0], [6.0], 3.0, 5.0)
+
+    @pytest.mark.parametrize("history, t_start, t_end, message", [
+        ([1.0], 3.0, 3.0, "t_end=3.0 must exceed t_start=3.0"),
+        ([1.0], 3.0, 2.0, "t_end=2.0 must exceed t_start=3.0"),
+        ([1.0, 3.5], 3.0, 5.0, "history must end at or before t_start"),
+    ], ids=["empty-window", "inverted-window", "history-after-start"])
+    def test_window_and_history_checked(self, history, t_start, t_end, message):
+        with pytest.raises(ValueError) as exc:
+            holdout_log_likelihood(P, history, [], t_start, t_end)
+        assert str(exc.value) == message
 
 
 class TestForecastResult:

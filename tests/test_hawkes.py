@@ -246,6 +246,10 @@ class TestResiduals:
         with pytest.raises(ValueError):
             rescaled_residuals(P, [])
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="event times must be >= 0"):
+            rescaled_residuals(P, [-0.5, 1.0])
+
 
 class TestFit:
     def test_requires_five_events(self):

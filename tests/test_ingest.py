@@ -100,6 +100,17 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nope.jsonl"):
             parse_events(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("name, fmt, message", [
+        ("ev.txt", None, "cannot infer format from 'ev.txt'; pass format='jsonl' or 'csv'"),
+        ("ev.jsonl", "xml", "unknown format 'xml': expected 'jsonl' or 'csv'"),
+    ], ids=["unknown-suffix", "unknown-format"])
+    def test_format_neither_inferred_nor_known(self, tmp_path, name, fmt, message):
+        path = tmp_path / name
+        write_jsonl(path, [record("v1", 0.0)])
+        with pytest.raises(ValueError) as err:
+            parse_events(path, format=fmt)
+        assert str(err.value) == message
+
     def test_duplicate_video_id(self, tmp_path):
         path = tmp_path / "ev.jsonl"
         write_jsonl(path, [record("v1", 0.0), record("v1", 86400.0)])
@@ -204,6 +215,14 @@ class TestRoundTrip:
         write_events(stream, out, format=fmt)
         again = parse_events(out, format=fmt)
         assert again == stream
+
+    def test_csv_refuses_a_tag_holding_its_separator(self, tmp_path):
+        path = tmp_path / "ev.jsonl"
+        write_jsonl(path, [record("v1", 0.0, tags=("a|b", "c"))])
+        stream = parse_events(path)
+        with pytest.raises(ValueError, match=r"CSV output cannot represent tags containing '\|'"):
+            write_events(stream, tmp_path / "ev.csv")
+        assert not (tmp_path / "ev.csv").exists()
 
     def test_overridden_horizon_round_trips_when_passed(self, tmp_path):
         path = tmp_path / "ev.jsonl"

@@ -18,6 +18,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=1, t_start=2.0, t_end=1.0)
 
+    @pytest.mark.parametrize("t_start, t_end", [
+        (0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0)])
+    def test_rejects_non_finite_window(self, t_start, t_end):
+        with pytest.raises(ValueError, match="window endpoints must be finite"):
+            SimConfig(seed=1, t_start=t_start, t_end=t_end)
+
     def test_rejects_history_inside_window(self):
         with pytest.raises(ValueError):
             SimConfig(seed=1, t_start=1.0, t_end=2.0, history=(1.5,))
@@ -142,6 +148,14 @@ class TestSyntheticCorpus:
         b = ClusterSpec(frozenset({"x", "y"}), SUB, ("u2",))
         with pytest.raises(ValueError):
             make_synthetic_corpus([a, b], T=10.0, seed=0)
+
+    @pytest.mark.parametrize("tags, uploaders, message", [
+        (frozenset(), ("u1",), "cluster spec needs at least one tag"),
+        (frozenset({"x"}), (), "cluster spec needs at least one uploader"),
+    ], ids=["no-tags", "no-uploaders"])
+    def test_cluster_spec_needs_tags_and_uploaders(self, tags, uploaders, message):
+        with pytest.raises(ValueError, match=message):
+            ClusterSpec(tags, SUB, uploaders)
 
     def test_stream_is_valid_and_reproducible(self):
         spec = default_corpus_spec()

@@ -30,10 +30,7 @@ class TestAffinityGraph:
     def test_counts_videos_sharing_both_tags(self):
         s = make_stream([{"a", "b"}, {"a", "b", "c"}, {"b", "c"}])
         g = build_affinity_graph(s)
-        assert g.weight("a", "b") == 2
-        assert g.weight("b", "c") == 2
-        assert g.weight("a", "c") == 1
-        assert g.weight("a", "z") == 0
+        assert g.edges == {("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 2}
 
     def test_k_tags_contribute_all_pairs(self):
         s = make_stream([{"a", "b", "c", "d"}])
@@ -44,8 +41,8 @@ class TestAffinityGraph:
     def test_single_tag_videos_add_nodes_but_no_edges(self):
         s = make_stream([{"solo"}, {"a", "b"}])
         g = build_affinity_graph(s)
-        assert "solo" in g.nodes
-        assert g.weight("solo", "a") == 0
+        assert g.nodes == {"solo", "a", "b"}
+        assert g.edges == {("a", "b"): 1}
 
     def test_matches_brute_force_on_random_corpus(self):
         rng = np.random.default_rng(7)
@@ -56,8 +53,7 @@ class TestAffinityGraph:
     def test_symmetry_via_sorted_keys(self):
         s = make_stream([{"b", "a"}])
         g = build_affinity_graph(s)
-        assert list(g.edges) == [("a", "b")]
-        assert g.weight("b", "a") == g.weight("a", "b") == 1
+        assert g.edges == {("a", "b"): 1}
 
 
 class TestPruning:
@@ -128,6 +124,12 @@ class TestAssignment:
         s = make_stream([{"a", "mystery"}])
         with pytest.raises(ValueError, match="mystery"):
             assign_videos(s, [{"a"}])
+
+    def test_overlapping_components_are_an_error(self):
+        s = make_stream([{"a", "b"}])
+        with pytest.raises(ValueError) as exc:
+            assign_videos(s, [{"a", "b"}, {"b", "c"}])
+        assert str(exc.value) == "components overlap on tag 'b'"
 
     def test_unknown_tag_error_names_first_video_carrying_it(self):
         s = make_stream([{"a"}, {"a", "b"}, {"a", "mystery"}, {"a", "mystery"}])

@@ -1,5 +1,5 @@
-"""Shared likelihood maximizer: quasi-Newton ascent, a Newton polish, and a
-simplex for the points the polish cannot certify.
+"""The Hawkes fit's likelihood maximizer: quasi-Newton ascent, a Newton
+polish, and a simplex for the points the polish cannot certify.
 
 Parameters live in log space so positivity is structural.  The objective is
 ``fun(x) -> (f, g)``: the negated value and its gradient, from one body.

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._optim import MAX_ITER, lazy_minimize, maximize
+from ._optim import MAX_ITER, lazy_minimize
 from .hawkes import FitResult, _check_positive, _check_times
 
 __all__ = [
@@ -71,39 +71,38 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
         ll, int(rates.size), True, 0)
 
 
-def _drift_objective(x: np.ndarray, tau: np.ndarray,
-                     T: float) -> tuple[float, np.ndarray]:
-    """The drift fit objective: x holds the logs of the rate at 0 and at T,
-    tau the event times over T; (-ll, -gradient wrt x)."""
-    b, r = np.exp(x)
-    lam = b + (r - b) * tau
-    ll = float(np.sum(np.log(lam))) - 0.5 * T * (b + r)
-    inv = 1.0 / lam
-    d_b = float(np.sum((1.0 - tau) * inv)) - 0.5 * T
-    d_r = float(np.sum(tau * inv)) - 0.5 * T
-    return -ll, -np.array([d_b * b, d_r * r])
+def _drift_dh(s: float, tau: np.ndarray) -> float:
+    """h'(s) = sum a / (tau + s a), a = 1 - 2 tau, of fit_nhpp_drift's h."""
+    a = 1.0 - 2.0 * tau
+    return float(np.sum(a / (tau + s * a)))
 
 
 def fit_nhpp_drift(times: Sequence[float], T: float) -> FitResult:
-    """MLE of the linear rate, parameterized by its (positive) endpoint values.
+    """MLE of the rate lam(t) = b (1 - tau) + r tau, tau = t/T, b and r >= 0.
 
-    Writing lam(t) = b + (r - b) t/T with b = lam(0) and r = lam(T), positivity
-    on the whole window is structural and both endpoints can move in log space
-    with analytic gradients, the same ascent contract as the Hawkes fit.
+    Sum ln lam is homogeneous of degree 1 in (b, r), so b + r = c = 2n/T at
+    the maximum, and s = b/c maximizes h(s) = sum ln(tau + s a), a = 1 - 2 tau,
+    on [0, 1].  h is concave: s is a bound where h' keeps its sign and no event
+    has zero rate, 1/2 if h is flat (all events at T/2), else h' = 0, bisected.
     """
-    times = _check_times(times, T)
-    n = times.size
+    tau = _check_times(times, T) / T
+    n = tau.size
     if n < 2:
         raise ValueError(f"drift fit needs at least 2 events, got {n}")
-    tau = times / T
-    x0 = np.log([n / T, n / T])
-    res = maximize(lambda v: _drift_objective(v, tau, T), x0,
-                   bounds=[(-60.0, 60.0), (-60.0, 60.0)])
-    b, r = np.exp(res.x)
-    slope = (r - b) / T
-    return FitResult(
-        "nhpp_drift", {"mu_slope": float(slope), "b_intercept": float(b)},
-        res.value, 2, res.converged, res.n_iter, optimizer=res.route, grad_max=res.grad_max)
+    lo, hi, steps = 0.0, 1.0, 0  # [lo, hi] brackets s
+    if np.all(tau == 0.5):
+        lo = hi = 0.5
+    elif tau[0] > 0.0 and _drift_dh(0.0, tau) <= 0.0:
+        hi = 0.0
+    elif tau[-1] < 1.0 and _drift_dh(1.0, tau) >= 0.0:
+        lo = 1.0
+    while lo < (s := 0.5 * (lo + hi)) < hi:
+        steps += 1
+        lo, hi = (s, hi) if _drift_dh(s, tau) > 0.0 else (lo, s)
+    c = 2.0 * n / T
+    ll = float(np.sum(np.log(c * (tau + s * (1.0 - 2.0 * tau))))) - n
+    return FitResult("nhpp_drift", {"mu_slope": c * (1.0 - 2.0 * s) / T, "b_intercept": c * s},
+                     ll, 2, True, steps)
 
 
 def _css_residuals(y: Sequence[float], p: int, q: int, c: float,

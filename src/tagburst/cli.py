@@ -135,14 +135,14 @@ def cmd_cluster(args) -> int:
         taggraph._check_eta(args.eta)
     out = Path(args.out)
     stream = parse_events(args.input, format=args.format)
+    graph = taggraph.build_affinity_graph(stream)
     if args.sweep is not None:
         lo, hi = args.sweep
-        rows = taggraph.sweep_eta(stream, range(lo, hi + 1))
+        rows = taggraph.sweep_eta(stream, graph, range(lo, hi + 1))
         _write_csv(out / "eta_sweep.csv", list(rows[0]), [list(r.values()) for r in rows])
         print(f"wrote {out / 'eta_sweep.csv'} ({len(rows)} thresholds)")
     if args.eta is not None:
-        components, clusters = taggraph._clustering(
-            stream, taggraph.build_affinity_graph(stream), args.eta)
+        components, clusters = taggraph._clustering(stream, graph, args.eta)
         cluster_of = {e.video_id: c.cluster_id for c in clusters for e in c.events.events}
         _write_csv(out / "assignments.csv", ["video_id", "cluster_id"],
                    [(e.video_id, cluster_of[e.video_id]) for e in stream.events])

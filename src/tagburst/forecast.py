@@ -61,6 +61,9 @@ class SplitSpec:
 def default_split(horizon_T: float, train_days: float,
                   horizon_days: float = 14.0) -> SplitSpec:
     """Split so the test window ends exactly at the stream horizon."""
+    if horizon_days >= horizon_T:
+        raise ValueError(f"horizon_days={horizon_days} must be shorter than the stream "
+                         f"(horizon_T={horizon_T})")
     return SplitSpec(train_days=train_days, split_point=horizon_T - horizon_days,
                      horizon_days=horizon_days)
 

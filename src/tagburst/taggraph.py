@@ -138,10 +138,9 @@ def extract_clusters(s: EventStream, eta: int) -> list[GenreCluster]:
     return _clustering(s, build_affinity_graph(s), eta)[1]
 
 
-def sweep_eta(s: EventStream, etas: Iterable[int]) -> list[dict]:
-    """Component count and cluster-size distribution per pruning threshold,
-    one row per eta with its keys in column order."""
-    graph = build_affinity_graph(s)
+def sweep_eta(s: EventStream, graph: TagGraph, etas: Iterable[int]) -> list[dict]:
+    """Component count and cluster-size distribution of s's videos per pruning
+    threshold of its affinity graph, one row per eta with its keys in column order."""
     rows = []
     for eta in etas:
         comps, clusters = _clustering(s, graph, eta)

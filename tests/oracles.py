@@ -43,11 +43,31 @@ def direct_log_likelihood(mu, beta, omega, times, T):
 
 def drift_log_likelihood(slope, intercept, times, T):
     """Linear-rate Poisson log-likelihood in the slope/intercept form
-    lam(t) = slope * t + intercept, which must be positive on [0, T]."""
-    if intercept <= 0 or slope * T + intercept <= 0:
-        raise ValueError("rate must stay positive at both window endpoints")
+    lam(t) = slope * t + intercept, which must be non-negative on [0, T]."""
+    if intercept < 0 or slope * T + intercept < 0:
+        raise ValueError("rate must stay non-negative at both window endpoints")
     lam = slope * np.asarray(times, dtype=float) + intercept
     return float(np.sum(np.log(lam))) - (0.5 * slope * T * T + intercept * T)
+
+
+def drift_objective(x: np.ndarray, tau: np.ndarray,
+                    T: float) -> tuple[float, np.ndarray]:
+    """The drift fit objective: x holds the logs of the rate at 0 and at T,
+    tau the event times over T; (-ll, -gradient wrt x)."""
+    b, r = np.exp(x)
+    lam = b + (r - b) * tau
+    ll = float(np.sum(np.log(lam))) - 0.5 * T * (b + r)
+    inv = 1.0 / lam
+    d_b = float(np.sum((1.0 - tau) * inv)) - 0.5 * T
+    d_r = float(np.sum(tau * inv)) - 0.5 * T
+    return -ll, -np.array([d_b * b, d_r * r])
+
+
+def drift_profile(s, tau, T):
+    """drift_objective's log-likelihood on the line b + r = 2n/T at b = s 2n/T:
+    the drift fit's h(s) plus a constant."""
+    c = 2.0 * tau.size / T
+    return -drift_objective(np.log([c * s, c * (1.0 - s)]), tau, T)[0]
 
 
 def central_difference(f, x, h):

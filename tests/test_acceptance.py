@@ -18,9 +18,10 @@ from scipy import stats
 
 import tagburst
 from mc_reference import mc_expected_count
-from oracles import bfs_components, brute_attribution, central_difference, direct_log_likelihood
+from oracles import (bfs_components, brute_attribution, central_difference, direct_log_likelihood,
+                     drift_profile)
 from tagburst.attribution import _pair_sums, attribution_report
-from tagburst.baselines import _drift_objective, fit_poisson
+from tagburst.baselines import _drift_dh, fit_poisson
 from tagburst.forecast import SplitSpec, conditional_mean_count, holdout_log_likelihood, split_stream
 from tagburst.hawkes import (FitResult, HawkesParams, fit_mle, log_likelihood,
                              log_likelihood_gradient, rescaled_residuals)
@@ -78,12 +79,11 @@ def test_02_analytic_gradients_match_central_differences():
         T = float(rng.uniform(8.0, 30.0))
         b = float(rng.uniform(0.3, 2.0))
         slope = float(rng.uniform(-0.8, 1.5)) * b / T
-        x = np.log([b, slope * T + b])  # the drift fit's log rates at 0 and T
-        times = np.sort(rng.uniform(0.0, T, size=int(rng.integers(5, 120))))
-        grad = _drift_objective(x, times / T, T)[1]
-        num = central_difference(
-            lambda v: _drift_objective(v, times / T, T)[0], x, h=1e-6)
-        worst_d = max(worst_d, float(np.max(np.abs(grad - num) / np.abs(num))))
+        s = b / (b + slope * T + b)  # the drift fit's share of b + r at 0
+        tau = np.sort(rng.uniform(0.0, T, size=int(rng.integers(5, 120)))) / T
+        grad = _drift_dh(s, tau)
+        num = central_difference(lambda v: drift_profile(v[0], tau, T), [s], h=1e-6)[0]
+        worst_d = max(worst_d, abs(grad - num) / abs(num))
     worst = max(worst_h, worst_d)
     report(2, worst <= 1e-5,
            f"50+50 random points, worst relative gap {worst:.2e} (limit 1e-5)")

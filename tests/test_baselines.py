@@ -10,10 +10,10 @@ import pytest
 from scipy.optimize import minimize
 
 from mc_reference import simulate_nhpp
-from oracles import (central_difference, drift_log_likelihood, loop_css_residuals,
-                     loop_forecast_arima, nelder_mead_css_fit)
+from oracles import (central_difference, drift_log_likelihood, drift_objective, drift_profile,
+                     loop_css_residuals, loop_forecast_arima, nelder_mead_css_fit)
 from tagburst import baselines
-from tagburst.baselines import (_css_fit_one, _css_objective, _css_residuals, _drift_objective,
+from tagburst.baselines import (_css_fit_one, _css_objective, _css_residuals, _drift_dh,
                                 _ma_from_pacf, fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp,
                                 fit_poisson, forecast_arima)
 from tagburst.forecast import (POOLED_CLUSTER_ID, conditional_mean_count, default_split,
@@ -117,16 +117,16 @@ class TestDrift:
         assert drift_log_likelihood(self.SLOPE, self.INTERCEPT, times, T) == \
             pytest.approx(expected, rel=1e-9)
         x = drift_x(self.SLOPE, self.INTERCEPT, T)
-        assert -_drift_objective(x, times / T, T)[0] == pytest.approx(expected, rel=1e-9)
+        assert -drift_objective(x, times / T, T)[0] == pytest.approx(expected, rel=1e-9)
 
     def test_gradient_matches_central_differences(self):
+        # h'(s) against the reference log-likelihood along b + r = 2n/T
         rng = np.random.default_rng(31)
-        times = np.sort(rng.uniform(0, 10, size=40))
-        x = drift_x(self.SLOPE, self.INTERCEPT, 10.0)
-        grad = _drift_objective(x, times / 10.0, 10.0)[1]
-        num = central_difference(lambda v: _drift_objective(v, times / 10.0, 10.0)[0],
-                                 x, h=1e-6)
-        np.testing.assert_allclose(grad, num, rtol=1e-6)
+        tau = np.sort(rng.uniform(0, 10, size=40)) / 10.0
+        b, r = self.INTERCEPT, self.SLOPE * 10.0 + self.INTERCEPT  # rates at 0 and T
+        s = b / (b + r)
+        num = central_difference(lambda v: drift_profile(v[0], tau, 10.0), [s], h=1e-6)
+        np.testing.assert_allclose(_drift_dh(s, tau), num, rtol=1e-6)
 
     def test_fit_needs_two_events(self):
         with pytest.raises(ValueError):

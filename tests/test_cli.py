@@ -248,7 +248,7 @@ class TestForecast:
         assert {r["cluster_id"] for r in rows} == {"0", "1", "2"}
         # the fit's route goes to the JSON rows only, null where no maximizer ran
         for r in doc["rows"]:
-            optimized = r["model"] in ("hawkes", "nhpp_drift")
+            optimized = r["model"] == "hawkes"
             assert (r["optimizer"] is not None) == (r["grad_max"] is not None) == optimized
         assert list(rows[0]) == ["cluster_id", "model", "train_days", "horizon_days",
                                  "loglik", "aic", "predicted", "actual", "abs_error",
@@ -314,6 +314,15 @@ class TestForecast:
         assert run("forecast", "--input", str(corpus / "events.jsonl"),
                    "--out", str(corpus)) == 1
         assert "--train-days" in capsys.readouterr().err
+
+    def test_horizon_longer_than_the_stream_is_named(self, corpus, capsys):
+        fitted(corpus)
+        horizon_T = parse_events(corpus / "events.jsonl").horizon_T
+        assert run("forecast", "--input", str(corpus / "events.jsonl"), "--out", str(corpus),
+                   "--train-days", "60", "--horizon-days", "200") == 1
+        assert capsys.readouterr().err == ("error: horizon_days=200.0 must be shorter than "
+                                           f"the stream (horizon_T={horizon_T})\n")
+        assert not (corpus / "forecast.csv").exists()
 
     @pytest.mark.parametrize("flags, named", [
         ((), "--train-days"), (("--train-days", "60", "--models", ","), "--models"),

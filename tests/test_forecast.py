@@ -277,8 +277,7 @@ class TestEvaluateAll:
         offset = spec.split_point - spec.train_days
         for c in clusters:
             train = split_stream(c.events.times, spec)[0] - offset
-            fits = {"hawkes": fit_mle(train, spec.train_days),
-                    "nhpp_drift": baselines.fit_nhpp_drift(train, spec.train_days)}
+            fits = {"hawkes": fit_mle(train, spec.train_days)}
             for row in (r for r in table.rows if r.cluster_id == c.cluster_id):
                 fit = fits.get(row.model)
                 if fit is None:  # closed-form fits never call the maximizer

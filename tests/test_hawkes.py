@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from oracles import (central_difference, direct_compensator, direct_intensity,
-                     direct_log_likelihood, loop_decay_state, simplex_fallback_maximize)
-from tagburst import _optim, baselines, hawkes
+                     direct_log_likelihood, drift_objective, loop_decay_state,
+                     simplex_fallback_maximize)
+from tagburst import _optim, hawkes
 from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
-from tagburst.forecast import conditional_mean_count
+from tagburst.forecast import conditional_mean_count, default_split, split_stream
 from tagburst.hawkes import (FitResult, HawkesParams, _decay_state, _excitation, decay_sums,
                              fit_mle, fit_result_from_dict, fit_result_to_dict, log_likelihood,
                              log_likelihood_gradient, rescaled_residuals)
-from tagburst.simulate import SimConfig, simulate_hawkes
+from tagburst.ingest import parse_events, write_events
+from tagburst.simulate import SimConfig, default_corpus_spec, make_synthetic_corpus, simulate_hawkes
+from tagburst.taggraph import extract_clusters
 
 P = HawkesParams(mu=0.5, beta=1.0, omega=2.0)
 
@@ -329,9 +332,15 @@ def beta_floor_stream():
     return np.sort(np.random.default_rng(1).uniform(0.0, 50.0, size=40))
 
 
+def simplex_fallback_streams():
+    """Streams on which the Hawkes fit takes each of the maximizer's routes."""
+    streams = [(stalled_line_search_stream(), 365.0), (beta_floor_stream(), 50.0)]
+    return streams + [(hawkes_stream(seed), 100.0) for seed in range(10)]
+
+
 def rising_stream(seed):
     """60 events over 60 days with density rising linearly from zero, so
-    the drift fit's intercept heads for its floor along a flat direction."""
+    the drift fit's intercept can sit at its bound, 0."""
     return np.sort(60.0 * np.sqrt(np.random.default_rng(seed).uniform(size=60)))
 
 
@@ -409,28 +418,56 @@ class TestObjective:
         assert simplex_fallback_maximize(fun, [3.0, -2.0])[2]
 
     def test_never_worse_than_simplex_fallback(self, monkeypatch):
-        hawkes_streams = [(stalled_line_search_stream(), 365.0), (beta_floor_stream(), 50.0)]
-        hawkes_streams += [(hawkes_stream(seed), 100.0) for seed in range(10)]
-        drift_streams = hawkes_streams + [(rising_stream(seed), 60.0) for seed in range(6)]
-        seen_hawkes, seen_drift = [], []
-        self.capture(monkeypatch, hawkes, seen_hawkes)
-        self.capture(monkeypatch, baselines, seen_drift)
-        for times, T in hawkes_streams:
+        seen = []
+        self.capture(monkeypatch, hawkes, seen)
+        for times, T in simplex_fallback_streams():
             fit_mle(times, T)
-        for times, T in drift_streams:
-            fit_nhpp_drift(times, T)
         routes = set()
-        # the drift intercept can stop short of its floor on a flat direction
-        for seen, tol in ((seen_hawkes, 1e-9), (seen_drift, 1e-6)):
-            for fun, x0, bounds in seen:
-                new = _optim.maximize(fun, x0, bounds=bounds)
-                old_value = simplex_fallback_maximize(fun, x0, bounds=bounds)[1]
-                assert new.value >= old_value - tol
-                grad_max = float(np.max(np.abs(fun(new.x)[1])))
-                assert new.grad_max == grad_max
-                assert new.converged == (grad_max < _optim.GRAD_TOL)
-                routes.add(new.route)
+        for fun, x0, bounds in seen:
+            new = _optim.maximize(fun, x0, bounds=bounds)
+            old_value = simplex_fallback_maximize(fun, x0, bounds=bounds)[1]
+            assert new.value >= old_value - 1e-9
+            grad_max = float(np.max(np.abs(fun(new.x)[1])))
+            assert new.grad_max == grad_max
+            assert new.converged == (grad_max < _optim.GRAD_TOL)
+            routes.add(new.route)
         assert routes == {"lbfgsb", "lbfgsb+newton", "lbfgsb+simplex"}
+
+
+def readme_drift_windows(tmp_path):
+    """The README run's drift training windows: the corpus of simulate
+    --seed 0 --t-days 120, written and parsed as the CLI does, clustered at
+    eta 2 and split with --train-days 60."""
+    stream, _ = make_synthetic_corpus(default_corpus_spec(), T=120.0, seed=0)
+    write_events(stream, tmp_path / "events.jsonl")
+    stream = parse_events(tmp_path / "events.jsonl")
+    spec = default_split(stream.horizon_T, 60.0)
+    offset = spec.split_point - spec.train_days
+    return [(split_stream(c.events.times, spec)[0] - offset, spec.train_days)
+            for c in extract_clusters(stream, 2)]
+
+
+class TestExactDrift:
+    """fit_nhpp_drift's exact maximum against the log-space maximizer it replaced."""
+
+    def test_never_below_simplex_fallback(self, tmp_path):
+        rising = [(rising_stream(seed), 60.0) for seed in range(6)]
+        windows = readme_drift_windows(tmp_path)
+        assert len(windows) == 3
+        for times, T in simplex_fallback_streams() + rising + windows:
+            fit = fit_nhpp_drift(times, T)
+            n, tau = times.size, times / T
+            x0 = np.log([n / T, n / T])
+            old_value = simplex_fallback_maximize(lambda v: drift_objective(v, tau, T), x0,
+                                                  bounds=[(-60.0, 60.0)] * 2)[1]
+            assert fit.log_likelihood >= old_value - 1e-9
+            b = fit.params["b_intercept"]
+            r = b + fit.params["mu_slope"] * T
+            assert b >= 0.0 and r >= 0.0
+            assert b + r == pytest.approx(2.0 * n / T, rel=1e-14)
+            assert fit.converged and fit.optimizer is None and fit.grad_max is None
+        for seed in (1, 2, 4):
+            assert fit_nhpp_drift(*rising[seed]).params["b_intercept"] == 0.0
 
 
 class TestFitRecord:
@@ -451,7 +488,7 @@ class TestFitRecord:
         for fit in fits:
             record = json.loads(json.dumps(fit_result_to_dict(fit)))
             assert fit_result_from_dict(record) == fit
-            optimized = fit.model in ("hawkes", "nhpp_drift")
+            optimized = fit.model == "hawkes"
             assert ("optimizer" in record) == ("grad_max" in record) == optimized
             if optimized:
                 assert record["optimizer"] == fit.optimizer

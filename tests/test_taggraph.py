@@ -183,7 +183,7 @@ class TestEtaBehavior:
     def test_component_count_monotone_in_eta(self):
         rng = np.random.default_rng(17)
         s = make_stream(random_tag_sets(rng, 80, 10))
-        rows = sweep_eta(s, range(1, 7))
+        rows = sweep_eta(s, build_affinity_graph(s), range(1, 7))
         counts = [r["n_components"] for r in rows]
         assert counts == sorted(counts)
 

@@ -53,16 +53,19 @@ def _prior_means(reference: Sequence[Event], popularity: Mapping[str, float],
 
 
 def _pair_sums(p: HawkesParams, times: np.ndarray, uploaders: Sequence[str],
-               psi: np.ndarray, thresholds: np.ndarray) -> tuple[float, float, float, int]:
+               psi: Sequence[float], thresholds: Sequence[float]) \
+        -> tuple[float, float, float, int]:
     """One truncated pass over recent pairs: returns (denominator,
     self numerator, popularity numerator, pairs evaluated).  The intensity in
     each p_ij uses the exact O(n) recursion over the full history."""
-    lam = p.mu + p.beta * decay_sums(times, p.omega)
+    # plain floats, so no numpy scalar enters the double loop
+    lam = (p.mu + p.beta * decay_sums(times, p.omega)).tolist()
     max_gap = TRUNCATION_EXPONENT / p.omega
     ts = times.tolist()
+    psi, thresholds = (np.asarray(a, dtype=float).tolist() for a in (psi, thresholds))
     den = num_self = num_pop = 0.0
     n_pairs = 0
-    for j in range(1, times.size):
+    for j in range(1, len(ts)):
         t_j = ts[j]
         scale = p.beta / lam[j]
         for i in range(j - 1, -1, -1):
@@ -113,20 +116,15 @@ def attribution_report(clusters: Sequence[GenreCluster],
 
     popularity = {e.video_id: e.n_views + w_comments * e.n_comments
                   for c in clusters for e in c.events.events}
-    platform_means = None
-    if pop_scope == "platform":
-        merged = sorted((e for c in clusters for e in c.events.events), key=_stream_order)
-        platform_means = _prior_means(merged, popularity, causal)
+    references = [sorted((e for c in clusters for e in c.events.events), key=_stream_order)] \
+        if pop_scope == "platform" else [c.events.events for c in clusters]
+    threshold = {vid: mean for reference in references
+                 for vid, mean in _prior_means(reference, popularity, causal).items()}
 
     reports = []
     for c in clusters:
         fit = fits.get(c.cluster_id)
         events = c.events.events
-        uploaders = [e.uploader_id for e in events]
-        psi = np.array([popularity[e.video_id] for e in events], dtype=float)
-        means = platform_means if platform_means is not None \
-            else _prior_means(events, popularity, causal)
-        thresholds = np.array([means[e.video_id] for e in events], dtype=float)
         try:
             if fit is None:
                 raise ValueError("no usable fit")
@@ -138,7 +136,9 @@ def attribution_report(clusters: Sequence[GenreCluster],
             if len(events) < 2 or p.beta <= 0:
                 raise ValueError("no endogenous mass")
             den, num_self, num_pop, n_pairs = _pair_sums(
-                p, c.events.times, uploaders, psi, thresholds)
+                p, c.events.times, [e.uploader_id for e in events],
+                [popularity[e.video_id] for e in events],
+                [threshold[e.video_id] for e in events])
             if den == 0.0:
                 raise ValueError("pair contributions vanish")
         except ValueError as exc:

@@ -374,7 +374,7 @@ def _apply_config(path: Path, stage: argparse.ArgumentParser,
     """
     if not path.is_file():
         raise FileNotFoundError(f"missing config file: {path}")
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -79,7 +79,7 @@ def split_stream(times: Sequence[float], spec: SplitSpec) -> tuple[np.ndarray, n
     if train.size == 0:
         raise ValueError(
             f"empty training window [{lo}, {spec.split_point}]")
-    return train.copy(), test.copy()
+    return train, test
 
 
 def _mean_count(p: HawkesParams, history: Sequence[float], t: float, delta_t: float,
@@ -261,14 +261,20 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
     exclusions: list[tuple[int, str]] = []
     offset = spec.split_point - spec.train_days
 
-    def eval_unit(cluster_id: int, times: np.ndarray, horizon_T: float,
-                  unit_models: list[str]) -> None:
+    per_cluster = [m for m in model_list if m != "hawkes_global"]
+    units = [(c.cluster_id, c.events.times, c.events.horizon_T, per_cluster)
+             for c in clusters] if per_cluster else []
+    if "hawkes_global" in model_list and clusters:
+        units.append((POOLED_CLUSTER_ID,
+                      np.sort(np.concatenate([c.events.times for c in clusters])),
+                      max(c.events.horizon_T for c in clusters), ["hawkes_global"]))
+    for cluster_id, times, horizon_T, unit_models in units:
         spec.check_horizon(horizon_T)
         try:
             train, test = split_stream(times, spec)
         except ValueError as exc:
             exclusions.append((cluster_id, str(exc)))
-            return
+            continue
         train = train - offset
         actual = int(test.size)
         for model in unit_models:
@@ -288,15 +294,6 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
             rows.append(EvalRow(cluster_id, model, spec.train_days, spec.horizon_days,
                                 loglik, aic, predicted, actual, abs_error, rel_error,
                                 status, note, optimizer, grad_max))
-
-    per_cluster = [m for m in model_list if m != "hawkes_global"]
-    if per_cluster:
-        for c in clusters:
-            eval_unit(c.cluster_id, c.events.times, c.events.horizon_T, per_cluster)
-    if "hawkes_global" in model_list and clusters:
-        pooled = np.sort(np.concatenate([c.events.times for c in clusters]))
-        horizon = max(c.events.horizon_T for c in clusters)
-        eval_unit(POOLED_CLUSTER_ID, pooled, horizon, ["hawkes_global"])
 
     aggregates: dict = {}
     for model in model_list:

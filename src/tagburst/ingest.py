@@ -177,7 +177,7 @@ def _utf8_line(line: str, lineno: int) -> str:
 def _records_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line, decoding a line
     only when the previous record has been consumed."""
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not _utf8_line(raw, lineno).strip():
                 continue
@@ -192,7 +192,7 @@ def _records_from_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
 
 def _records_from_csv(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each data row, after checking the header."""
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(_utf8_line(line, n) for n, line in enumerate(fh, start=1))
         if reader.fieldnames is None:
             return
@@ -296,8 +296,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object
 
 
 def write_events(stream: EventStream, path: str | Path, format: str | None = None) -> None:
-    """Serialize a stream back to the record schema (absolute epoch-second ts)."""
+    """Serialize a stream back to the record schema (absolute epoch-second ts).
+    A stream without events is refused, since parse_events rejects its file."""
     path = Path(path)
+    if not stream.events:
+        raise ValueError(f"refusing to write {path}: the stream has no events")
     fmt = _infer_format(path, format)
     origin_us = round(stream.origin * 1e6)
     rows = [(e.video_id, (origin_us + round(e.upload_time * MICROS_PER_DAY)) / 1e6,

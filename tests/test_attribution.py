@@ -204,6 +204,14 @@ class TestReport:
             assert 0.0 <= r.s_self <= 1.0 and 0.0 <= r.s_pop <= 1.0
             assert r.n_pairs_evaluated > 0
 
+    def test_shares_are_python_floats(self):
+        # AttributionReport declares float: no numpy scalar leaves the pair sums
+        clusters = self.synthetic_clusters()
+        reports = attribution_report(clusters, fits_for(clusters))
+        assert reports and all(r.attributable for r in reports)
+        for r in reports:
+            assert (type(r.s_self), type(r.s_pop), type(r.s_exo)) == (float, float, float)
+
     @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("pop_scope", ["platform", "cluster"])
     def test_shares_equal_per_cluster_scores(self, pop_scope, causal):

@@ -1,5 +1,6 @@
 """End-to-end behavior of the pipeline commands (in-process)."""
 
+import codecs
 import csv
 import dataclasses
 import json
@@ -86,6 +87,15 @@ class TestSimulate:
         assert (a / "events.jsonl").read_bytes() == (b / "events.jsonl").read_bytes()
         assert (a / "ground_truth.json").read_bytes() == \
             (b / "ground_truth.json").read_bytes()
+
+    def test_a_window_without_events_writes_nothing(self, tmp_path, capsys):
+        # the reader rejects an empty event file, so simulate writes none
+        out = tmp_path / "run"
+        assert run("simulate", "--out", str(out), "--t-days", "0.001") == 1
+        assert capsys.readouterr().err == \
+            f"error: refusing to write {out / 'events.jsonl'}: the stream has no events\n"
+        assert not (out / "events.jsonl").exists()
+        assert not (out / "ground_truth.json").exists()
 
 
 class TestCluster:
@@ -652,6 +662,17 @@ class TestConfigFile:
                    "--out", str(out), f"--config={cfg}") == 0
         assert read_json(out / "clusters.json")["eta"] == 2
 
+    def test_leading_byte_order_mark_is_accepted(self, corpus, tmp_path):
+        # a config saved with a UTF-8 BOM gives the run of the same file without it
+        for name, prefix in (("plain", b""), ("marked", codecs.BOM_UTF8)):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(prefix + b"eta = 2\ntrain_days = 60\n")
+            assert run("cluster", "--input", str(corpus / "events.jsonl"),
+                       "--out", str(tmp_path / name), "--config", str(cfg)) == 0
+        for artifact in ("clusters.json", "assignments.csv"):
+            assert (tmp_path / "marked" / artifact).read_bytes() == \
+                (tmp_path / "plain" / artifact).read_bytes()
+
     def test_bare_config_is_usage_error(self, corpus):
         with pytest.raises(SystemExit) as exc:
             run("cluster", "--input", str(corpus / "events.jsonl"),
@@ -668,6 +689,41 @@ def readme_pipeline(out):
                  ["attribute", "--input", events, "--out", str(out)],
                  ["report", "--input", events, "--out", str(out)]):
         assert run(*argv) == 0, argv
+
+
+class TestCsvInput:
+    def test_csv_input_gives_the_jsonl_artifacts(self, tmp_path):
+        """The README corpus written as events.csv, and as events.txt read with
+        --format csv, gives every artifact of the JSONL run byte for byte;
+        report.json differs only in the input name it records."""
+        base = tmp_path / "jsonl"
+        assert run("simulate", "--out", str(base), "--seed", "0", "--t-days", "120") == 0
+        stream = parse_events(base / "events.jsonl")
+        inputs = {"jsonl": (base / "events.jsonl", [])}
+        write_events(stream, tmp_path / "csv" / "events.csv")
+        inputs["csv"] = (tmp_path / "csv" / "events.csv", [])
+        write_events(stream, tmp_path / "txt" / "events.txt", format="csv")
+        inputs["txt"] = (tmp_path / "txt" / "events.txt", ["--format", "csv"])
+        for events, extra in inputs.values():
+            for stage, *flags in (["cluster", "--eta", "2", "--sweep", "1:4"], ["fit"],
+                                  ["forecast", "--train-days", "60"], ["attribute"],
+                                  ["report"]):
+                assert run(stage, "--input", str(events), "--out", str(events.parent),
+                           *extra, *flags) == 0, (events.name, stage)
+        inputs_and_truth = {"events.jsonl", "ground_truth.json"}
+        names = sorted(p.name for p in base.iterdir() if p.name not in inputs_and_truth)
+        assert len(names) == 12
+        for events, _ in (inputs["csv"], inputs["txt"]):
+            out = events.parent
+            assert sorted(p.name for p in out.iterdir() if p != events) == names
+            for name in names:
+                if name == "report.json":
+                    report, expected = read_json(out / name), read_json(base / name)
+                    assert (report.pop("input"), expected.pop("input")) == \
+                        (events.name, "events.jsonl")
+                    assert report == expected
+                else:
+                    assert (out / name).read_bytes() == (base / name).read_bytes(), name
 
 
 class TestArtifactFiles:

@@ -40,6 +40,15 @@ class TestSplitSpec:
         np.testing.assert_array_equal(train, [11.0, 12.0])
         np.testing.assert_array_equal(test, [16.0])
 
+    def test_outputs_share_no_memory_with_the_input(self):
+        # a read-only input, like EventStream.times, gives new writable arrays
+        times = np.arange(1.0, 101.0)
+        times.flags.writeable = False
+        train, test = split_stream(times, SplitSpec(30.0, 60.0, 14.0))
+        for part in (train, test):
+            assert not np.shares_memory(part, times)
+            assert part.flags.writeable
+
     def test_empty_training_window_rejected(self):
         with pytest.raises(ValueError, match="empty training window"):
             split_stream(np.array([50.0]), SplitSpec(10.0, 30.0, 14.0))

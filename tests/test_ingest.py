@@ -1,10 +1,12 @@
 """Parsing, normalization, and round-trip behavior of event streams."""
 
+import codecs
 import csv
 import inspect
 import io
 import json
 import random
+import re
 import tracemalloc
 from datetime import datetime, timezone
 
@@ -65,6 +67,24 @@ class TestParsing:
         assert s.events[0].tags == frozenset({"a", "b"})
         assert s.events[1].upload_time == 2.5
         assert s.events[0].n_views == 5
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path, fmt):
+        """A file that starts with a UTF-8 BOM, as Excel's "CSV UTF-8" export
+        does, parses to the stream of the same file without it, and a bad
+        byte after the BOM still names its line."""
+        plain = tmp_path / f"plain.{fmt}"
+        write_jsonl(plain.with_suffix(".jsonl"), [
+            record("v1", 0.0, tags=("café",)), record("v2", 60.0), record("v3", 120.0)])
+        if fmt == "csv":
+            write_events(parse_events(plain.with_suffix(".jsonl")), plain)
+        marked = tmp_path / f"marked.{fmt}"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse_events(marked) == parse_events(plain)
+        marked.write_bytes(marked.read_bytes().replace(b"u1", b"u\xff"))
+        with pytest.raises(ParseError, match=r"invalid UTF-8 byte 0xff") as err:
+            parse_events(marked)
+        assert err.value.line == (1 if fmt == "jsonl" else 2)  # the CSV header is line 1
 
     def test_horizon_defaults_to_last_event_and_is_overridable(self, tmp_path):
         path = tmp_path / "ev.jsonl"
@@ -223,6 +243,16 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=r"CSV output cannot represent tags containing '\|'"):
             write_events(stream, tmp_path / "ev.csv")
         assert not (tmp_path / "ev.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_a_stream_without_events_is_refused(self, tmp_path, fmt):
+        """parse_events rejects a file without records, so write_events
+        refuses to write one and creates nothing."""
+        path = tmp_path / "out" / f"ev.{fmt}"
+        with pytest.raises(ValueError, match=re.escape(
+                f"refusing to write {path}: the stream has no events")):
+            write_events(EventStream(origin=0.0, events=(), horizon_T=1.0), path)
+        assert not path.parent.exists()
 
     def test_overridden_horizon_round_trips_when_passed(self, tmp_path):
         path = tmp_path / "ev.jsonl"

@@ -32,7 +32,7 @@ TRUNCATION_EXPONENT = 40.0
 
 def _check_w_comments(w_comments: float) -> None:
     if not (math.isfinite(w_comments) and w_comments >= 0):
-        raise ValueError(f"w_comments must be >= 0, got {w_comments}")
+        raise ValueError(f"w_comments must be >= 0 and finite, got {w_comments}")
 
 
 def _prior_means(reference: Sequence[Event], popularity: Mapping[str, float],

@@ -26,7 +26,6 @@ __all__ = [
     "default_split",
     "split_stream",
     "expected_count",
-    "conditional_mean_count",
     "holdout_log_likelihood",
     "evaluate_all",
 ]
@@ -82,41 +81,26 @@ def split_stream(times: Sequence[float], spec: SplitSpec) -> tuple[np.ndarray, n
     return train, test
 
 
-def _mean_count(p: HawkesParams, history: Sequence[float], t: float, delta_t: float,
-                jump: float) -> float:
-    """mu*dt + X*g + mu*jump*(dt - g)/kappa with X the excitation at t, kappa =
-    omega - jump and g = (1 - e^{-kappa dt})/kappa: the expected count over
-    (t, t + dt] when each event inside the window excites by jump."""
+def expected_count(p: HawkesParams, history: Sequence[float], t: float,
+                   delta_t: float) -> float:
+    """E[N(t, t + delta_t] | history up to t], offspring of the window's own
+    events included: mu*dt + X*g + mu*beta*(dt - g)/kappa with X the
+    excitation at t, kappa = omega - beta and g = (1 - e^{-kappa dt})/kappa
+    (Dassios & Zhao, 2011)."""
     if p.branching_ratio >= 1.0:
         raise ValueError(
             f"branching ratio {p.branching_ratio:.3f} >= 1: forecast refused")
     if not (math.isfinite(delta_t) and delta_t >= 0):
-        raise ValueError(f"delta_t must be >= 0, got {delta_t}")
-    history = np.asarray(history, dtype=float)
-    if history.size and float(np.max(history)) > t:
+        raise ValueError(f"delta_t must be >= 0 and finite, got {delta_t}")
+    if not math.isfinite(t):
+        raise ValueError(f"forecast start t must be finite, got {t}")
+    history = _check_times(history)
+    if history.size and history[-1] > t:
         raise ValueError("history must end at or before the forecast start t")
-    kappa = p.omega - jump
+    kappa = p.omega - p.beta
     g = -math.expm1(-kappa * delta_t) / kappa  # accurate for small kappa*dt
     return (p.mu * delta_t + _excitation(p, history, t) * g
-            + p.mu * jump * (delta_t - g) / kappa)
-
-
-def expected_count(p: HawkesParams, history: Sequence[float], t: float,
-                   delta_t: float) -> float:
-    """Compensator increment over (t, t + delta_t] given the history alone.
-
-    Events inside the window are not credited with offspring, so for beta > 0
-    this is a lower bound on conditional_mean_count.  No pipeline stage calls
-    it; it stays while the benchmark's forecast.expected_count.* metrics hook it.
-    """
-    return _mean_count(p, history, t, delta_t, 0.0)
-
-
-def conditional_mean_count(p: HawkesParams, history: Sequence[float], t: float,
-                           delta_t: float) -> float:
-    """Expected number of events in (t, t + delta_t] given the history up to t,
-    offspring of the window's own events included."""
-    return _mean_count(p, history, t, delta_t, p.beta)
+            + p.mu * p.beta * (delta_t - g) / kappa)
 
 
 def holdout_log_likelihood(p: HawkesParams, history: Sequence[float],
@@ -126,6 +110,8 @@ def holdout_log_likelihood(p: HawkesParams, history: Sequence[float],
     the history and on earlier test events."""
     history = np.asarray(history, dtype=float)
     test = np.asarray(test_times, dtype=float)
+    if not (math.isfinite(t_start) and math.isfinite(t_end)):
+        raise ValueError(f"window ends must be finite, got ({t_start}, {t_end}]")
     if t_end <= t_start:
         raise ValueError(f"t_end={t_end} must exceed t_start={t_start}")
     if history.size and float(np.max(history)) > t_start:
@@ -186,7 +172,7 @@ def _hawkes(train: np.ndarray, T: float, horizon: float,
     fit = fit_mle(train, T)
     if "supercritical" in fit.warnings:
         return fit, None
-    return fit, conditional_mean_count(_params_from_fit(fit), train, T, horizon)
+    return fit, expected_count(_params_from_fit(fit), train, T, horizon)
 
 
 def _poisson(train: np.ndarray, T: float, horizon: float,

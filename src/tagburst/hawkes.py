@@ -4,7 +4,7 @@ The conditional intensity is
 
     lam(t) = mu + beta * sum_{t_i < t} exp(-omega * (t - t_i))
 
-with baseline rate mu, excitation jump beta, and decay rate omega, all per
+with baseline rate mu, excitation beta, and decay rate omega, all per
 day.  Each event raises the intensity by beta and the boost fades at rate
 omega, so one event spawns beta/omega expected offspring (the branching
 ratio); beta/omega >= 1 means the cascade is explosive.
@@ -128,7 +128,7 @@ def _params_from_fit(fit: FitResult) -> HawkesParams:
 def _check_positive(name: str, value: float) -> None:
     """Raise unless value is positive and finite."""
     if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_times(times: Sequence[float], T: float | None = None) -> np.ndarray:

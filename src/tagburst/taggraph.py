@@ -8,6 +8,7 @@ plurality of its tags.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -55,7 +56,7 @@ def build_affinity_graph(s: EventStream) -> TagGraph:
 
 def _check_eta(eta: int) -> int:
     """eta as an int; raises unless it is a positive integer."""
-    if int(eta) != eta or eta < 1:
+    if not (math.isfinite(eta) and int(eta) == eta and eta >= 1):
         raise ValueError(f"eta must be a positive integer, got {eta!r}")
     return int(eta)
 

@@ -159,6 +159,18 @@ def expected_count_by_quadrature(mu, beta, omega, history, t, delta_t, n_grid=20
     return np.trapezoid(lam, grid)
 
 
+def conditional_mean_by_ode(mu, beta, omega, history, t, delta_t):
+    """E[N(t, t+delta_t] | history] by integrating the mean intensity m and
+    the mean count N: m' = omega*mu - (omega - beta)*m, N' = m, from
+    m(t) = the intensity at t by explicit summation and N(t) = 0."""
+    from scipy.integrate import solve_ivp
+
+    m0 = direct_intensity(mu, beta, omega, history, t)
+    sol = solve_ivp(lambda s, y: [omega * mu - (omega - beta) * y[0], y[0]],
+                    (t, t + delta_t), [m0, 0.0], method="DOP853", rtol=1e-12, atol=1e-12)
+    return float(sol.y[1, -1])
+
+
 def loop_css_residuals(y, p, q, c, phi, theta):
     """ARIMA conditional-sum-of-squares residuals by the plain per-step loop,
     pre-sample innovations fixed at zero."""

@@ -22,7 +22,7 @@ from oracles import (bfs_components, brute_attribution, central_difference, dire
                      drift_profile)
 from tagburst.attribution import _pair_sums, attribution_report
 from tagburst.baselines import _drift_dh, fit_poisson
-from tagburst.forecast import SplitSpec, conditional_mean_count, holdout_log_likelihood, split_stream
+from tagburst.forecast import SplitSpec, expected_count, holdout_log_likelihood, split_stream
 from tagburst.hawkes import (FitResult, HawkesParams, fit_mle, log_likelihood,
                              log_likelihood_gradient, rescaled_residuals)
 from tagburst.ingest import Event, EventStream
@@ -189,7 +189,7 @@ def test_06_forecast_calibration():
     rel = abs(mean / 400.0 - target) / target
 
     q = HawkesParams(0.7, 0.0, 1.0)
-    exact = conditional_mean_count(q, [1.0, 2.0, 3.0], 5.0, 9.0) == q.mu * 9.0
+    exact = expected_count(q, [1.0, 2.0, 3.0], 5.0, 9.0) == q.mu * 9.0
 
     report(6, rel <= 0.03 and exact,
            f"MC rate off stationary mean by {rel:.4f} (limit 0.03); "

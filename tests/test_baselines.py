@@ -16,8 +16,8 @@ from tagburst import baselines
 from tagburst.baselines import (_css_fit_one, _css_objective, _css_residuals, _drift_dh,
                                 _ma_from_pacf, fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp,
                                 fit_poisson, forecast_arima)
-from tagburst.forecast import (POOLED_CLUSTER_ID, conditional_mean_count, default_split,
-                               evaluate_all)
+from tagburst.forecast import (POOLED_CLUSTER_ID, default_split, evaluate_all,
+                               expected_count)
 from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood
 from tagburst.simulate import SimConfig, simulate_hawkes
 from tagburst.taggraph import extract_clusters
@@ -183,7 +183,7 @@ class TestGlobalPooled:
         assert (row.cluster_id, row.model, row.status) == \
             (POOLED_CLUSTER_ID, "hawkes_global", "ok")
         assert row.loglik == direct.log_likelihood and row.aic == direct.aic
-        assert row.predicted == conditional_mean_count(
+        assert row.predicted == expected_count(
             HawkesParams(**direct.params), train, 186.0, 14.0)
         assert (row.optimizer, row.grad_max) == (direct.optimizer, direct.grad_max)
 

@@ -97,6 +97,13 @@ class TestSimulate:
         assert not (out / "events.jsonl").exists()
         assert not (out / "ground_truth.json").exists()
 
+    def test_infinite_length_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("simulate", "--out", str(out), "--t-days", "inf") == 1
+        assert capsys.readouterr().err == \
+            "error: corpus length T must be positive and finite, got inf\n"
+        assert not out.exists()
+
 
 class TestCluster:
     def test_toy_fixture_two_components_at_eta_two(self, tmp_path):
@@ -302,7 +309,7 @@ class TestForecast:
                        "--out", str(corpus), "--train-days", "60",
                        f"--bin-width={value}") == 1
             err = capsys.readouterr().err
-            assert err == f"error: bin_width must be positive, got {float(value)}\n"
+            assert err == f"error: bin_width must be positive and finite, got {float(value)}\n"
             assert not (corpus / "forecast.csv").exists()
 
     def test_refused_rows_are_counted(self, corpus, capsys, monkeypatch):
@@ -341,7 +348,8 @@ class TestForecast:
         (("--train-days", "60", "--horizon-days=-1"), "horizon_days must be positive"),
         (("--train-days", "60", "--horizon-days", "0"), "horizon_days must be positive"),
         (("--train-days", "60", "--horizon-days", "nan"), "horizon_days must be positive"),
-        (("--train-days", "60", "--bin-width", "0"), "bin_width must be positive")])
+        (("--train-days", "60", "--bin-width", "0"), "bin_width must be positive"),
+        (("--train-days", "inf"), "train_days must be positive and finite, got inf")])
     def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, flags, named):
         assert run("forecast", "--input", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "out"), *flags) == 1
@@ -351,12 +359,12 @@ class TestForecast:
 
 
 class TestAttribute:
-    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
     def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, value):
         assert run("attribute", "--input", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "out"), f"--w-comments={value}") == 1
         assert capsys.readouterr().err == \
-            f"error: w_comments must be >= 0, got {float(value)}\n"
+            f"error: w_comments must be >= 0 and finite, got {float(value)}\n"
 
     def test_shares_written_and_sum_to_one(self, corpus):
         fitted(corpus)
@@ -612,7 +620,8 @@ class TestConfigFile:
         capsys.readouterr()
         assert run("forecast", "--input", str(corpus / "events.jsonl"),
                    "--out", str(corpus), "--config", str(cfg)) == 1
-        assert capsys.readouterr().err == "error: bin_width must be positive, got 0.0\n"
+        assert capsys.readouterr().err == \
+            "error: bin_width must be positive and finite, got 0.0\n"
         assert not (corpus / "forecast.csv").exists()
 
     def test_unknown_key_names_file_and_line(self, corpus, tmp_path, capsys):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from mc_reference import mc_expected_count
-from oracles import direct_compensator, direct_intensity, expected_count_by_quadrature
+from oracles import (conditional_mean_by_ode, direct_compensator, direct_intensity,
+                     expected_count_by_quadrature)
 from tagburst import baselines
-from tagburst.forecast import (POOLED_CLUSTER_ID, SplitSpec, conditional_mean_count,
-                               default_split, evaluate_all, expected_count,
-                               _scored, holdout_log_likelihood, split_stream)
+from tagburst.forecast import (POOLED_CLUSTER_ID, SplitSpec, default_split, evaluate_all,
+                               expected_count, _scored, holdout_log_likelihood,
+                               split_stream)
 from tagburst.hawkes import HawkesParams, fit_mle
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
@@ -80,64 +81,55 @@ class TestSplitSpec:
 
 class TestExpectedCount:
     def test_worked_example(self):
-        # 0.5 + 0.5*[(e^-2 - e^-4) + (e^-1 - e^-3)]
+        # kappa = omega - beta = 1: 0.5 + (e^-1 + e^-2)(1 - e^-1) + 0.5 e^-1
         assert expected_count(P, [1.0, 1.5], 2.0, 1.0) == pytest.approx(
-            0.7175560085757284, rel=1e-14)
-
-    def test_beta_zero_is_exactly_rate_times_window(self):
-        p = HawkesParams(0.7, 0.0, 1.0)
-        assert expected_count(p, [1.0, 2.0], 5.0, 3.0) == 0.7 * 3.0
-
-    def test_zero_horizon_is_zero(self):
-        assert expected_count(P, [1.0], 2.0, 0.0) == 0.0
-
-    def test_supercritical_refused(self):
-        with pytest.raises(ValueError, match="refused"):
-            expected_count(HawkesParams(1.0, 2.0, 1.0), [], 1.0, 1.0)
+            1.0020320933892997, rel=1e-14)
 
     def test_history_after_t_rejected(self):
         with pytest.raises(ValueError):
             expected_count(P, [3.0], 2.0, 1.0)
 
-    def test_matches_quadrature(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            p = HawkesParams(float(rng.uniform(0.2, 1.5)),
-                             float(rng.uniform(0.05, 0.8)),
-                             float(rng.uniform(0.8, 2.5)))
-            hist = np.sort(rng.uniform(0, 20, size=15))
-            d = float(rng.uniform(0.5, 10.0))
-            assert expected_count(p, hist, 20.0, d) == pytest.approx(
-                expected_count_by_quadrature(p.mu, p.beta, p.omega, hist, 20.0, d),
-                rel=1e-6)
+    @pytest.mark.parametrize("history, t, message", [
+        ([math.nan], 2.0, "event times must be finite"),
+        ([[1.0, 2.0]], 2.0, "event times must be one-dimensional"),
+        ([2.0, 1.0], 3.0, "event times must be sorted ascending"),
+        ([1.0], math.nan, "forecast start t must be finite, got nan"),
+        ([1.0], math.inf, "forecast start t must be finite, got inf"),
+    ], ids=["nan-history", "2d-history", "unsorted-history", "nan-start", "inf-start"])
+    def test_history_and_start_checked(self, history, t, message):
+        with pytest.raises(ValueError) as exc:
+            expected_count(P, history, t, 1.0)
+        assert str(exc.value) == message
 
-    def test_additive_over_adjacent_horizons(self):
-        # same fixed history throughout: (12,16] + (16,21] = (12,21]
-        rng = np.random.default_rng(7)
-        hist = np.sort(rng.uniform(0, 12, size=25))
-        whole = expected_count(P, hist, 12.0, 9.0)
-        first = expected_count(P, hist, 12.0, 4.0)
-        second = expected_count(P, hist, 16.0, 5.0)
-        assert first + second == pytest.approx(whole, rel=1e-12)
+    def test_matches_ode_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            om = float(rng.uniform(0.5, 3.0))
+            p = HawkesParams(float(rng.uniform(0.2, 1.5)),
+                             float(rng.uniform(0.0, 0.95)) * om, om)
+            hist = np.sort(rng.uniform(0, 10, size=int(rng.integers(0, 30))))
+            d = float(rng.uniform(0.1, 20.0))
+            assert expected_count(p, hist, 10.0, d) == pytest.approx(
+                conditional_mean_by_ode(p.mu, p.beta, p.omega, hist, 10.0, d), rel=1e-9)
 
 
 class TestConditionalMean:
     def test_supercritical_refused(self):
         with pytest.raises(ValueError, match="refused"):
-            conditional_mean_count(HawkesParams(1.0, 3.0, 1.0), [], 0.0, 1.0)
+            expected_count(HawkesParams(1.0, 3.0, 1.0), [], 0.0, 1.0)
 
     def test_zero_horizon(self):
-        assert conditional_mean_count(P, [1.0], 2.0, 0.0) == 0.0
+        assert expected_count(P, [1.0], 2.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("delta_t", [-1.0, float("nan"), float("inf")])
     def test_window_length_must_be_finite_and_non_negative(self, delta_t):
         with pytest.raises(ValueError) as exc:
-            conditional_mean_count(P, [1.0], 2.0, delta_t)
-        assert str(exc.value) == f"delta_t must be >= 0, got {delta_t}"
+            expected_count(P, [1.0], 2.0, delta_t)
+        assert str(exc.value) == f"delta_t must be >= 0 and finite, got {delta_t}"
 
     def test_poisson_case_is_rate_times_window(self):
         p = HawkesParams(0.7, 0.0, 1.0)
-        assert conditional_mean_count(p, [1.0, 2.0], 5.0, 3.0) == 0.7 * 3.0
+        assert expected_count(p, [1.0, 2.0], 5.0, 3.0) == 0.7 * 3.0
 
     def test_exceeds_history_only_forecast(self):
         # future events excite themselves; the history-only increment cannot see that
@@ -148,15 +140,12 @@ class TestConditionalMean:
             br = float(rng.uniform(0.35, 0.85))
             hist = np.sort(rng.uniform(0, 30, size=20))
             p = HawkesParams(mu, br * om, om)
-            assert conditional_mean_count(p, hist, 30.0, 15.0) > \
-                expected_count(p, hist, 30.0, 15.0)
-            p0 = HawkesParams(mu, 0.0, om)
-            assert conditional_mean_count(p0, hist, 30.0, 15.0) == \
-                expected_count(p0, hist, 30.0, 15.0)
+            assert expected_count(p, hist, 30.0, 15.0) > \
+                expected_count_by_quadrature(p.mu, p.beta, p.omega, hist, 30.0, 15.0)
 
     def test_long_window_rate_is_stationary_mean(self):
         # mu / (1 - beta/omega) = 1.0 for P
-        assert conditional_mean_count(P, [], 0.0, 1e4) / 1e4 == pytest.approx(1.0, rel=1e-4)
+        assert expected_count(P, [], 0.0, 1e4) / 1e4 == pytest.approx(1.0, rel=1e-4)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(31)
@@ -168,7 +157,7 @@ class TestConditionalMean:
             hist = np.sort(rng.uniform(0, 10, size=int(rng.integers(0, 20))))
             d = float(rng.uniform(0.5, 10.0))
             mean, std = mc_expected_count(p, hist, 10.0, d, n_samples=n_samples, seed=k)
-            exact = conditional_mean_count(p, hist, 10.0, d)
+            exact = expected_count(p, hist, 10.0, d)
             assert abs(exact - mean) <= 4 * std / math.sqrt(n_samples)
 
 
@@ -210,7 +199,12 @@ class TestHoldout:
         ([1.0], 3.0, 3.0, "t_end=3.0 must exceed t_start=3.0"),
         ([1.0], 3.0, 2.0, "t_end=2.0 must exceed t_start=3.0"),
         ([1.0, 3.5], 3.0, 5.0, "history must end at or before t_start"),
-    ], ids=["empty-window", "inverted-window", "history-after-start"])
+        ([1.0], 2.0, math.nan, "window ends must be finite, got (2.0, nan]"),
+        ([1.0], 2.0, math.inf, "window ends must be finite, got (2.0, inf]"),
+        ([1.0], math.nan, 5.0, "window ends must be finite, got (nan, 5.0]"),
+        ([], -math.inf, 5.0, "window ends must be finite, got (-inf, 5.0]"),
+    ], ids=["empty-window", "inverted-window", "history-after-start", "nan-end", "inf-end",
+            "nan-start", "minus-inf-start"])
     def test_window_and_history_checked(self, history, t_start, t_end, message):
         with pytest.raises(ValueError) as exc:
             holdout_log_likelihood(P, history, [], t_start, t_end)
@@ -260,7 +254,7 @@ class TestEvaluateAll:
             train, _ = split_stream(c.events.times, spec)
             train = train - offset
             fit = fit_mle(train, spec.train_days)
-            assert row.predicted == conditional_mean_count(
+            assert row.predicted == expected_count(
                 HawkesParams(**fit.params), train, spec.train_days, spec.horizon_days)
 
     def test_arima_lite_credits_a_fractional_last_day_pro_rata(self):

@@ -11,7 +11,7 @@ from oracles import (central_difference, direct_compensator, direct_intensity,
                      simplex_fallback_maximize)
 from tagburst import _optim, hawkes
 from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
-from tagburst.forecast import conditional_mean_count, default_split, split_stream
+from tagburst.forecast import default_split, split_stream
 from tagburst.hawkes import (FitResult, HawkesParams, _decay_state, _excitation, decay_sums,
                              fit_mle, fit_result_from_dict, fit_result_to_dict, log_likelihood,
                              log_likelihood_gradient, rescaled_residuals)
@@ -72,12 +72,6 @@ class TestIntensity:
 
     def test_event_at_t_counts_at_full_weight(self):
         assert P.mu + _excitation(P, np.array([1.0]), 1.0) == pytest.approx(1.5, rel=1e-15)
-
-    def test_future_history_rejected(self):
-        with pytest.raises(ValueError, match="history"):
-            conditional_mean_count(P, [1.0, 2.0], 1.5, 1.0)
-        with pytest.raises(ValueError, match="history"):
-            SimConfig(seed=0, t_start=1.5, t_end=3.0, history=(1.0, 2.0))
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(3)

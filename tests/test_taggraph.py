@@ -67,10 +67,10 @@ class TestPruning:
         assert pruned.edges == {("b", "c"): 4}
         assert pruned.nodes == g.nodes
 
-    @pytest.mark.parametrize("eta", [0, -2, 1.5])
+    @pytest.mark.parametrize("eta", [0, -2, 1.5, float("inf"), float("nan")])
     def test_invalid_eta_rejected(self, eta):
         g = TagGraph(frozenset("ab"), {("a", "b"): 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eta must be a positive integer"):
             prune_graph(g, eta)
 
 

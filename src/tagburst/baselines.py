@@ -24,6 +24,7 @@ __all__ = [
     "forecast_arima",
 ]
 
+_MAX_P = 2  # AR order bound; every ARMA cell conditions on this many counts
 _SIGMA2_FLOOR = 1e-12  # keeps the Gaussian loglik finite on zero-residual fits
 _PACF_BOUND = 18.0  # |u| bound: tanh(18) = 1 - 2**-51, while tanh(19) rounds to 1
 # Fixed MA starts in u besides theta = 0: the CSS surface is multimodal, and
@@ -49,7 +50,9 @@ def fit_poisson(times: Sequence[float], T: float) -> FitResult:
 
 
 def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> FitResult:
-    """Per-bin MLE rate = count / width; the last bin is truncated at T.
+    """Per-bin MLE rate = count / width; the bins end at T, at T - k*width,
+    so the first bin is truncated at 0 and the last is full-width when
+    T >= width.
 
     Empty bins contribute zero (the 0*ln 0 convention); each occupied bin
     contributes c*(ln r - 1), using r*width = c at the optimum.
@@ -57,8 +60,8 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
     times = _check_times(times, T)
     _check_positive("bin_width", bin_width)
     n_bins = max(1, int(math.ceil(T / bin_width - 1e-12)))
-    edges = np.minimum(np.arange(n_bins + 1) * float(bin_width), T)
-    edges[-1] = T
+    edges = np.maximum(T - np.arange(n_bins, -1, -1) * float(bin_width), 0.0)
+    edges[0] = 0.0
     counts, _ = np.histogram(times, edges)
     widths = np.diff(edges)
     rates = counts / widths
@@ -233,62 +236,56 @@ def _css_fit_one(y: np.ndarray, p: int, q: int) -> tuple[np.ndarray, bool, int]:
     return np.concatenate([best.x[:1 + p], theta]), converged, int(best.nit)
 
 
-def fit_arima_lite(counts: Sequence[float], max_p: int = 2, max_d: int = 1,
-                   max_q: int = 2) -> FitResult:
-    """Grid-search ARIMA(p, d, q) with p <= max_p, d <= max_d, q <= max_q <= 2.
+def _fit_cell(counts: np.ndarray, p: int, q: int) -> FitResult:
+    """ARMA(p, q) on counts[_MAX_P - p:] by conditional least squares
+    (_css_fit_one, so the MA polynomial is invertible by construction).
 
-    Each candidate is fit by conditional least squares (_css_fit_one, so the
-    MA polynomial is invertible by construction); the Gaussian
-    log-likelihood comes from the residual variance; k = p + q + 2 counts the
-    intercept and the variance.  Lowest aic wins, ties broken by
-    lexicographically smallest (p, d, q).  The fit's converged and iteration
-    count are the winning cell's: always converged without MA terms, and with
-    them when an L-BFGS-B run stopped on its own tolerance at the kept SSR.
-    Nothing is clamped after the fit.
+    Every cell conditions on the first _MAX_P counts, so its residuals cover
+    counts[_MAX_P:] whatever p is.  The Gaussian log-likelihood comes from
+    the residual variance; k = p + q + 2 counts the intercept and the
+    variance.  converged and the iteration count are _css_fit_one's.
     """
-    if min(max_p, max_d, max_q) < 0 or max_q > 2:
-        raise ValueError("grid bounds must satisfy max_p, max_d >= 0 and 0 <= max_q <= 2, "
-                         f"got max_p={max_p}, max_d={max_d}, max_q={max_q}")
+    y = counts[_MAX_P - p:]
+    vec, ok, n_iter = _css_fit_one(y, p, q)
+    c, phi, theta = float(vec[0]), vec[1:1 + p], vec[1 + p:]
+    eps = _css_residuals(y, p, q, c, phi, theta)
+    sigma2 = max(float(np.dot(eps, eps)) / eps.size, _SIGMA2_FLOOR)
+    ll = -0.5 * eps.size * (math.log(2.0 * math.pi * sigma2) + 1.0)
+    return FitResult(
+        "arima_lite",
+        {"p": p, "q": q, "ar": [float(v) for v in phi], "ma": [float(v) for v in theta],
+         "intercept": c, "sigma2": sigma2},
+        ll, p + q + 2, ok, n_iter)
+
+
+def fit_arima_lite(counts: Sequence[float]) -> FitResult:
+    """The lowest-aic cell of the ARMA(p, q) grid on the counts themselves,
+    p <= _MAX_P and q <= 2, ties to the smallest (p, q).
+
+    Every cell is scored on the same counts (see _fit_cell), so the aics
+    compare one dataset.  Nothing is clamped after the fit.
+    """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 1 or counts.size < 20:
         raise ValueError(f"need a daily count series of length >= 20, got {counts.size}")
-
-    best: tuple[float, int, int, int] | None = None
-    best_fit = None
-    diffed = {d: np.diff(counts, n=d) if d else counts for d in range(max_d + 1)}
-    for p, d, q in product(range(max_p + 1), range(max_d + 1), range(max_q + 1)):
-        y = diffed[d]
-        vec, ok, n_iter = _css_fit_one(y, p, q)
-        c, phi, theta = float(vec[0]), vec[1:1 + p], vec[1 + p:]
-        eps = _css_residuals(y, p, q, c, phi, theta)
-        n_eff = eps.size
-        sigma2 = max(float(np.dot(eps, eps)) / n_eff, _SIGMA2_FLOOR)
-        ll = -0.5 * n_eff * (math.log(2.0 * math.pi * sigma2) + 1.0)
-        fit = FitResult(
-            "arima_lite",
-            {"p": p, "d": d, "q": q, "ar": [float(v) for v in phi],
-             "ma": [float(v) for v in theta], "intercept": c, "sigma2": sigma2},
-            ll, p + q + 2, ok, n_iter)
-        key = (fit.aic, p, d, q)
-        if best is None or key < best:
-            best, best_fit = key, fit
-    return best_fit
+    return min((_fit_cell(counts, p, q) for p, q in product(range(_MAX_P + 1), range(3))),
+               key=lambda fit: fit.aic)
 
 
 def forecast_arima(params: Mapping[str, object], counts: Sequence[float],
                    horizon: int) -> np.ndarray:
-    """Iterated h-step forecast from an arima_lite fit's params (p, d, q, ar,
-    ma, intercept) with future innovations at zero, undoing the
-    differencing; returns one level per future day."""
+    """Iterated h-step forecast from an arima_lite fit's params (p, q, ar, ma,
+    intercept) with future innovations at zero, its MA state from
+    counts[_MAX_P - p:] as in the fit; returns one count per future day."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    p, d, q = params["p"], params["d"], params["q"]
+    p, q = params["p"], params["q"]
     ar, ma, intercept = params["ar"], params["ma"], params["intercept"]
     counts = np.asarray(counts, dtype=float)
-    y = np.diff(counts, n=d) if d else counts
-    if y.size < p:
-        raise ValueError(f"ARIMA({p}, {d}, {q}) forecast needs at least "
-                         f"{p + d} observed counts, got {counts.size}")
+    if counts.size < _MAX_P:
+        raise ValueError(f"ARMA({p}, {q}) forecast needs at least "
+                         f"{_MAX_P} observed counts, got {counts.size}")
+    y = counts[_MAX_P - p:]
     ys = y.tolist()
     e2, e1 = ([0.0, 0.0] + _css_residuals(y, p, q, intercept, ar, ma).tolist())[-2:]
     t0, t1 = [float(v) for v in ma] + [0.0] * (2 - q)
@@ -298,7 +295,4 @@ def forecast_arima(params: Mapping[str, object], counts: Sequence[float],
             acc += ar[i] * ys[-1 - i]
         ys.append(acc + t0 * e1 + t1 * e2)
         e1, e2 = 0.0, e1
-    preds = ys[y.size:]
-    if d:
-        return counts[-1] + np.cumsum(preds)
-    return np.asarray(preds)
+    return np.asarray(ys[y.size:])

@@ -5,9 +5,11 @@ The probability that event i triggered event j is
 p_ij = beta * exp(-omega (t_j - t_i)) / lam(t_j); summing p_ij over pairs
 whose uploader matches gives the self-reinforcement share, summing over
 pairs whose trigger was unusually popular gives the popularity share, and
-the remainder is exogenous.  Pairs separated by more than 40/omega are
-skipped: their kernel weight is below e^-40 and cannot move the scores at
-reported precision.
+the remainder is exogenous.  A trigger is popular when its views + comments
+beat the mean of that over its target uploader's strictly earlier uploads,
+platform-wide.  Pairs separated by more than 40/omega are skipped: their
+kernel weight is below e^-40 and cannot move the scores at reported
+precision.
 """
 
 from __future__ import annotations
@@ -30,26 +32,17 @@ __all__ = [
 TRUNCATION_EXPONENT = 40.0
 
 
-def _check_w_comments(w_comments: float) -> None:
-    if not (math.isfinite(w_comments) and w_comments >= 0):
-        raise ValueError(f"w_comments must be >= 0 and finite, got {w_comments}")
-
-
-def _prior_means(reference: Sequence[Event], popularity: Mapping[str, float],
-                 causal: bool) -> dict[str, float]:
-    """Per reference video, the mean popularity of its uploader's reference
-    uploads; causal means strictly earlier uploads only, an empty history
-    averages to zero."""
+def _prior_means(reference: Sequence[Event], popularity: Mapping[str, float]) \
+        -> dict[str, float]:
+    """Per reference video, the mean popularity of its uploader's strictly
+    earlier reference uploads; an empty history averages to zero."""
     running: dict[str, tuple[float, int]] = {}
     earlier: dict[str, float] = {}
     for e in reference:
         total, count = running.get(e.uploader_id, (0.0, 0))
         earlier[e.video_id] = total / count if count else 0.0
         running[e.uploader_id] = (total + popularity[e.video_id], count + 1)
-    if causal:
-        return earlier
-    means = {u: total / count for u, (total, count) in running.items()}
-    return {e.video_id: means[e.uploader_id] for e in reference}
+    return earlier
 
 
 def _pair_sums(p: HawkesParams, times: np.ndarray, uploaders: Sequence[str],
@@ -89,16 +82,12 @@ class AttributionReport:
     s_pop: float | None
     s_exo: float | None
     n_pairs_evaluated: int
-    w_comments: float
     attributable: bool = True
     note: str = ""
 
 
 def attribution_report(clusters: Sequence[GenreCluster],
-                       fits: Mapping[int, FitResult],
-                       w_comments: float = 1.0, *,
-                       pop_scope: str = "platform",
-                       causal: bool = True) -> list[AttributionReport]:
+                       fits: Mapping[int, FitResult]) -> list[AttributionReport]:
     """Per-cluster decomposition.  Clusters without a fit in fits, or whose
     fit has no endogenous mass (or is effectively Poisson, or did not
     converge), are marked not attributable instead of failing the whole
@@ -106,20 +95,13 @@ def attribution_report(clusters: Sequence[GenreCluster],
     reference; a negative exogenous share is flagged in the note, not
     renormalized.
 
-    Popularity is views + w_comments * comments; a trigger is popular when it
-    beats its target's uploader mean over the reference (all clusters, or the
-    target's own), taken over strictly earlier uploads when causal.
+    Popularity is views + comments; a trigger is popular when it beats its
+    target's uploader mean over strictly earlier uploads in all clusters.
     """
-    _check_w_comments(w_comments)
-    if pop_scope not in ("platform", "cluster"):
-        raise ValueError(f"pop_scope must be 'platform' or 'cluster', got {pop_scope!r}")
-
-    popularity = {e.video_id: e.n_views + w_comments * e.n_comments
+    popularity = {e.video_id: e.n_views + e.n_comments
                   for c in clusters for e in c.events.events}
-    references = [sorted((e for c in clusters for e in c.events.events), key=_stream_order)] \
-        if pop_scope == "platform" else [c.events.events for c in clusters]
-    threshold = {vid: mean for reference in references
-                 for vid, mean in _prior_means(reference, popularity, causal).items()}
+    threshold = _prior_means(
+        sorted((e for c in clusters for e in c.events.events), key=_stream_order), popularity)
 
     reports = []
     for c in clusters:
@@ -143,14 +125,13 @@ def attribution_report(clusters: Sequence[GenreCluster],
                 raise ValueError("pair contributions vanish")
         except ValueError as exc:
             reports.append(AttributionReport(
-                c.cluster_id, None, None, None, 0, float(w_comments),
-                attributable=False, note=f"not attributable: {exc}"))
+                c.cluster_id, None, None, None, 0, attributable=False,
+                note=f"not attributable: {exc}"))
             continue
         s_self, s_pop = num_self / den, num_pop / den
         s_exo = 1.0 - (s_self + s_pop)
         note = "negative exogenous share: self and popularity shares overlap" \
             if s_exo < 0 else ""
         reports.append(AttributionReport(
-            c.cluster_id, s_self, s_pop, s_exo, n_pairs, float(w_comments),
-            attributable=True, note=note))
+            c.cluster_id, s_self, s_pop, s_exo, n_pairs, attributable=True, note=note))
     return reports

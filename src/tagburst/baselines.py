@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._optim import MAX_ITER, lazy_minimize
-from .hawkes import FitResult, _check_positive, _check_times
+from .hawkes import FitResult, _check_times
 
 __all__ = [
     "fit_poisson",
@@ -32,6 +32,7 @@ _PACF_BOUND = 18.0  # |u| bound: tanh(18) = 1 - 2**-51, while tanh(19) rounds to
 _MA_STARTS = {1: ((0.0,), (3.0,)), 2: ((0.0, 0.0), (1.5, 0.0))}
 _HR_LONG_AR = 6  # order of the Hannan-Rissanen long autoregression
 _CSS_FTOL = 1e-12  # L-BFGS-B's relative SSR reduction at which a run stops
+_BIN_DAYS = 7.0  # pc_nhpp bin width
 
 # scipy.optimize.minimize, imported on first access (see _optim)
 __getattr__ = lazy_minimize(__name__)
@@ -49,18 +50,17 @@ def fit_poisson(times: Sequence[float], T: float) -> FitResult:
     return FitResult("poisson", {"mu": mu}, ll, 1, True, 0)
 
 
-def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> FitResult:
-    """Per-bin MLE rate = count / width; the bins end at T, at T - k*width,
-    so the first bin is truncated at 0 and the last is full-width when
-    T >= width.
+def fit_pc_nhpp(times: Sequence[float], T: float) -> FitResult:
+    """Per-bin MLE rate = count / width over 7-day bins; the bins end at T,
+    at T - 7k, so the first bin is truncated at 0 and the last is full-width
+    when T >= 7.
 
     Empty bins contribute zero (the 0*ln 0 convention); each occupied bin
     contributes c*(ln r - 1), using r*width = c at the optimum.
     """
     times = _check_times(times, T)
-    _check_positive("bin_width", bin_width)
-    n_bins = max(1, int(math.ceil(T / bin_width - 1e-12)))
-    edges = np.maximum(T - np.arange(n_bins, -1, -1) * float(bin_width), 0.0)
+    n_bins = max(1, int(math.ceil(T / _BIN_DAYS - 1e-12)))
+    edges = np.maximum(T - np.arange(n_bins, -1, -1) * _BIN_DAYS, 0.0)
     edges[0] = 0.0
     counts, _ = np.histogram(times, edges)
     widths = np.diff(edges)
@@ -69,8 +69,7 @@ def fit_pc_nhpp(times: Sequence[float], T: float, bin_width: float = 7.0) -> Fit
     ll = float(np.sum(counts[occupied] * (np.log(rates[occupied]) - 1.0)))
     return FitResult(
         "pc_nhpp",
-        {"bin_edges": [float(x) for x in edges], "rates": [float(r) for r in rates],
-         "bin_width": float(bin_width)},
+        {"bin_edges": [float(x) for x in edges], "rates": [float(r) for r in rates]},
         ll, int(rates.size), True, 0)
 
 

@@ -192,12 +192,11 @@ def cmd_forecast(args) -> int:
     models = forecast._check_models(models)
     _check_positive("train_days", args.train_days)
     _check_positive("horizon_days", args.horizon_days)
-    _check_positive("bin_width", args.bin_width)
     # the stage fits its own models: fits.json only has to show that fit ran
     _load_artifact(out / "fits.json", "fit")
     stream, clusters, _ = _load_clusters(args)
     spec = forecast.default_split(stream.horizon_T, args.train_days, args.horizon_days)
-    table = forecast.evaluate_all(clusters, spec, models, bin_width=args.bin_width)
+    table = forecast.evaluate_all(clusters, spec, models)
 
     header = ["cluster_id", "model", "train_days", "horizon_days", "loglik", "aic",
               "predicted", "actual", "abs_error", "rel_error", "status", "note"]
@@ -234,21 +233,13 @@ def _factor_rows(records: Sequence[dict]) -> list[list]:
 
 def cmd_attribute(args) -> int:
     out = Path(args.out)
-    attribution._check_w_comments(args.w_comments)
     _, clusters, _ = _load_clusters(args)
     fits = {cid: hawkes for cid, (hawkes, _) in _load_fits(out, clusters)[1].items()
             if hawkes is not None}
-    reports = attribution.attribution_report(
-        clusters, fits, w_comments=args.w_comments, pop_scope=args.pop_scope,
-        causal=not args.all_time_average)
+    reports = attribution.attribution_report(clusters, fits)
 
     records = [{"n_events": len(c.events), **vars(r)} for c, r in zip(clusters, reports)]
-    _write_json(out / "attribution.json", {
-        "w_comments": args.w_comments,
-        "pop_scope": args.pop_scope,
-        "causal": not args.all_time_average,
-        "clusters": records,
-    })
+    _write_json(out / "attribution.json", {"clusters": records})
     _write_csv(out / "attribution_factors.csv", ["cluster_id", "factor", "value"],
                _factor_rows(records))
     print(f"wrote {out / 'attribution.json'} "
@@ -344,18 +335,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--horizon-days", type=float, default=14.0)
     p.add_argument("--models", default=DEFAULT_MODELS,
                    help=f"comma-separated subset of {', '.join(forecast.KNOWN_MODELS)}")
-    p.add_argument("--bin-width", type=float, default=7.0)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("attribute", help="decompose activity into factor shares")
     common(p)
-    p.add_argument("--w-comments", type=float, default=1.0,
-                   help="weight of comments in the popularity value")
-    p.add_argument("--pop-scope", choices=["platform", "cluster"], default="platform",
-                   help="history used for uploader popularity averages")
-    p.add_argument("--all-time-average", action="store_true",
-                   help="compare against all-time uploader averages instead of "
-                        "strictly earlier uploads")
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("report", help="collate artifacts into report.json and plot data")
@@ -368,9 +351,8 @@ def _apply_config(path: Path, stage: argparse.ArgumentParser,
                   stages: Mapping[str, argparse.ArgumentParser]) -> None:
     """Make key = value lines of the config file defaults of the stage's flags.
 
-    Switches take true or false.  A key that only other stages define is
-    ignored, so one file can serve the whole pipeline; a key that no stage
-    defines is an error.
+    A key that only other stages define is ignored, so one file can serve
+    the whole pipeline; a key that no stage defines is an error.
     """
     if not path.is_file():
         raise FileNotFoundError(f"missing config file: {path}")
@@ -388,11 +370,7 @@ def _apply_config(path: Path, stage: argparse.ArgumentParser,
         action = stage._option_string_actions.get(flag)
         if action is None:
             continue
-        if action.nargs == 0:
-            if value.lower() not in ("true", "false"):
-                raise ValueError(f"{path}:{lineno}: {key} takes true or false, got {value!r}")
-            value = value.lower() == "true"
-        elif action.choices is not None and value not in action.choices:
+        if action.choices is not None and value not in action.choices:
             raise ValueError(f"{path}:{lineno}: {key} must be one of "
                              f"{', '.join(action.choices)}, got {value!r}")
         elif action.type is not None:

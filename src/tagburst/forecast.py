@@ -45,6 +45,8 @@ class SplitSpec:
     def __post_init__(self):
         _check_positive("train_days", self.train_days)
         _check_positive("horizon_days", self.horizon_days)
+        if not math.isfinite(self.split_point):
+            raise ValueError(f"split_point must be finite, got {self.split_point}")
         if self.split_point - self.train_days < 0:
             raise ValueError(
                 f"training window starts before 0 (split_point={self.split_point}, "
@@ -167,28 +169,24 @@ def _daily_counts(times: np.ndarray, span: float) -> np.ndarray:
 # (T, T + horizon]: (fit, predicted), with predicted None when the fit refuses
 # to forecast.  Fitters are looked up at call time, so patching them takes effect.
 
-def _hawkes(train: np.ndarray, T: float, horizon: float,
-            bin_width: float) -> tuple[FitResult, float | None]:
+def _hawkes(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float | None]:
     fit = fit_mle(train, T)
     if "supercritical" in fit.warnings:
         return fit, None
     return fit, expected_count(_params_from_fit(fit), train, T, horizon)
 
 
-def _poisson(train: np.ndarray, T: float, horizon: float,
-             bin_width: float) -> tuple[FitResult, float]:
+def _poisson(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
     fit = baselines.fit_poisson(train, T)
     return fit, float(fit.params["mu"]) * horizon
 
 
-def _pc_nhpp(train: np.ndarray, T: float, horizon: float,
-             bin_width: float) -> tuple[FitResult, float]:
-    fit = baselines.fit_pc_nhpp(train, T, bin_width)
+def _pc_nhpp(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
+    fit = baselines.fit_pc_nhpp(train, T)
     return fit, float(fit.params["rates"][-1]) * horizon
 
 
-def _nhpp_drift(train: np.ndarray, T: float, horizon: float,
-                bin_width: float) -> tuple[FitResult, float]:
+def _nhpp_drift(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
     fit = baselines.fit_nhpp_drift(train, T)
     m = float(fit.params["mu_slope"])
     b = float(fit.params["b_intercept"])
@@ -199,8 +197,7 @@ def _nhpp_drift(train: np.ndarray, T: float, horizon: float,
     return fit, m * 0.5 * (end * end - T * T) + b * (end - T)
 
 
-def _arima_lite(train: np.ndarray, T: float, horizon: float,
-                bin_width: float) -> tuple[FitResult, float]:
+def _arima_lite(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
     counts = _daily_counts(train, T)
     fit = baselines.fit_arima_lite(counts)
     full_days = int(math.floor(horizon))
@@ -227,7 +224,7 @@ def _check_models(models: Sequence[str]) -> list[str]:
 
 
 def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
-                 models: Sequence[str], *, bin_width: float = 7.0) -> EvaluationTable:
+                 models: Sequence[str]) -> EvaluationTable:
     """Fit every requested model per cluster on the training window and score
     its forecast on the held-out window.
 
@@ -237,11 +234,10 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
     An 'ok' row whose fit did not converge keeps its numbers and says so in
     its note.  The pooled 'hawkes_global' model appears once under cluster id -1.
     When both 'hawkes' and 'poisson' ran, aic_differences holds their
-    per-cluster AIC difference (hawkes minus poisson).  An unknown model or a
-    bin_width that is not positive and finite raises before any fit.
+    per-cluster AIC difference (hawkes minus poisson).  An unknown model
+    raises before any fit.
     """
     model_list = _check_models(models)
-    _check_positive("bin_width", bin_width)
 
     rows: list[EvalRow] = []
     exclusions: list[tuple[int, str]] = []
@@ -266,8 +262,7 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
         for model in unit_models:
             fit = predicted = None
             try:
-                fit, predicted = _MODELS[model](train, spec.train_days, spec.horizon_days,
-                                                bin_width)
+                fit, predicted = _MODELS[model](train, spec.train_days, spec.horizon_days)
             except Exception as exc:  # isolate per-model failures
                 status, note = "failed", str(exc)
             else:

@@ -226,6 +226,8 @@ def parse_events(path: str | Path, format: str | None = None,
     views, and comments.  Events are sorted by (upload_time, video_id); the
     horizon defaults to the last event time unless overridden.
     """
+    if horizon_T is not None and not math.isfinite(horizon_T):
+        raise ValueError(f"horizon_T must be finite, got {horizon_T}")
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")

@@ -138,15 +138,14 @@ def brute_attribution(mu, beta, omega, times, uploaders, psi, thresholds):
     return num_self / den, num_pop / den
 
 
-def uploader_mean_thresholds(events, reference, w_comments, causal):
-    """Per event, the mean popularity (views + w_comments * comments) of its
-    uploader's uploads in the reference: all of them, or only those before it
-    in reference order when causal; zero when there are none."""
+def uploader_mean_thresholds(events, reference):
+    """Per event, the mean popularity (views + comments) of its uploader's
+    uploads before it in reference order; zero when there are none."""
     position = {r.video_id: k for k, r in enumerate(reference)}
     out = []
     for e in events:
-        values = [r.n_views + w_comments * r.n_comments for k, r in enumerate(reference)
-                  if r.uploader_id == e.uploader_id and (not causal or k < position[e.video_id])]
+        values = [r.n_views + r.n_comments for k, r in enumerate(reference)
+                  if r.uploader_id == e.uploader_id and k < position[e.video_id]]
         out.append(sum(values) / len(values) if values else 0.0)
     return np.array(out)
 

@@ -166,7 +166,7 @@ def test_05_attribution_normalization_oracle_and_exact_sum():
             running[u] = (tot + psi[k], cnt + 1)
         oracle_self, oracle_pop = brute_attribution(
             p.mu, p.beta, p.omega, times, uploaders, psi, thresholds)
-        [shares] = attribution_report([cluster], {0: fit}, causal=True)
+        [shares] = attribution_report([cluster], {0: fit})
         worst_score = max(worst_score, abs(shares.s_self - oracle_self),
                           abs(shares.s_pop - oracle_pop))
 

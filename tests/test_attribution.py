@@ -46,8 +46,8 @@ def hawkes_fit(p=P):
                      -1.0, 3, True, 5)
 
 
-def report_for(cluster, p=P, **kwargs):
-    [r] = attribution_report([cluster], {cluster.cluster_id: hawkes_fit(p)}, **kwargs)
+def report_for(cluster, p=P):
+    [r] = attribution_report([cluster], {cluster.cluster_id: hawkes_fit(p)})
     return r
 
 
@@ -138,35 +138,17 @@ class TestPopScore:
         c = make_cluster([0.5, 1.0, 2.0], ["a", "b", "a"])
         assert report_for(c).s_pop == 0.0
 
-    def test_comment_weight_changes_the_score(self):
-        times = [0.5, 1.0, 1.5, 2.0]
-        uploaders = ["a", "b", "a", "b"]
-        views = [0, 50, 100, 10]
-        comments = [500, 0, 0, 0]
-        c = make_cluster(times, uploaders, views, comments)
-        assert report_for(c, w_comments=0.0).s_pop != report_for(c, w_comments=10.0).s_pop
-
-    def test_negative_weight_rejected(self):
-        c = make_cluster([0.5, 1.0], ["a", "b"])
-        for w in (-1.0, float("nan")):
-            with pytest.raises(ValueError, match="w_comments"):
-                report_for(c, w_comments=w)
-
-    def test_all_time_average_differs_from_causal(self):
-        # rising popularity: all-time averages exceed early causal ones
-        times = [0.5, 1.0, 1.5, 2.0, 2.5]
-        c = make_cluster(times, ["u"] * 5, views=[10, 20, 40, 80, 160])
-        assert report_for(c, causal=True).s_pop != report_for(c, causal=False).s_pop
-
     def test_platform_reference_shifts_thresholds(self):
-        times = [0.5, 1.0, 1.5, 2.0]
-        cluster = make_cluster(times, ["u"] * 4, views=[50, 60, 70, 80])
-        # same uploader's uploads elsewhere are far more popular
-        other = make_cluster([0.1, 0.2], ["u", "u"], views=[5000, 6000], cluster_id=1)
+        # uploader "u" is modest here but far more popular in the other
+        # cluster, so next to it the same cluster scores lower
+        cluster = make_cluster([0.5, 1.0, 1.5, 2.0, 2.5], ["u"] * 5,
+                               views=[50, 60, 70, 80, 90])
+        other = make_cluster([0.1, 0.2, 0.3], ["u"] * 3, views=[5000] * 3, cluster_id=1)
         fits = {0: hawkes_fit(), 1: hawkes_fit()}
-        in_cluster = attribution_report([cluster, other], fits, pop_scope="cluster")[0]
-        platform_wide = attribution_report([cluster, other], fits, pop_scope="platform")[0]
-        assert platform_wide.s_pop < in_cluster.s_pop
+        alone = attribution_report([cluster], fits)[0]
+        platform_wide = attribution_report([cluster, other], fits)[0]
+        assert alone.s_pop > 0.0
+        assert platform_wide.s_pop < alone.s_pop
 
 
 class TestExoScore:
@@ -212,10 +194,9 @@ class TestReport:
         for r in reports:
             assert (type(r.s_self), type(r.s_pop), type(r.s_exo)) == (float, float, float)
 
-    @pytest.mark.parametrize("causal", [True, False])
-    @pytest.mark.parametrize("pop_scope", ["platform", "cluster"])
-    def test_shares_equal_per_cluster_scores(self, pop_scope, causal):
-        # four uploaders post in all three clusters, so the scopes' averages differ
+    def test_shares_equal_per_cluster_scores(self):
+        # four uploaders post in all three clusters, so platform-wide averages
+        # differ from each cluster's own
         rng = np.random.default_rng(37)
         clusters = []
         for cid in range(3):
@@ -232,23 +213,21 @@ class TestReport:
                         key=lambda e: (e.upload_time, e.video_id))
         fit = FitResult("hawkes", {"mu": 0.5, "beta": 1.0, "omega": 2.0},
                         -1.0, 3, True, 5)
-        reports = attribution_report(clusters, {c.cluster_id: fit for c in clusters},
-                                     0.5, pop_scope=pop_scope, causal=causal)
+        reports = attribution_report(clusters, {c.cluster_id: fit for c in clusters})
 
         def brute(c, reference):
             events = c.events.events
             return brute_attribution(
                 P.mu, P.beta, P.omega, c.events.times, [e.uploader_id for e in events],
-                np.array([e.n_views + 0.5 * e.n_comments for e in events]),
-                uploader_mean_thresholds(events, reference, 0.5, causal))
+                np.array([e.n_views + e.n_comments for e in events]),
+                uploader_mean_thresholds(events, reference))
 
-        own, other = (merged, None) if pop_scope == "platform" else (None, merged)
         for c, r in zip(clusters, reports):
-            s_self, s_pop = brute(c, own or c.events.events)
+            s_self, s_pop = brute(c, merged)
             assert r.s_self == pytest.approx(s_self, abs=1e-12)
             assert r.s_pop == pytest.approx(s_pop, abs=1e-12)
         assert [r.s_pop for r in reports] != pytest.approx(
-            [brute(c, other or c.events.events)[1] for c in clusters], abs=1e-12)
+            [brute(c, c.events.events)[1] for c in clusters], abs=1e-12)
 
     def test_missing_fit_marked_not_attributable(self):
         clusters = self.synthetic_clusters()
@@ -256,7 +235,7 @@ class TestReport:
         del fits[0]
         reports = attribution_report(clusters, fits)
         assert reports[0] == AttributionReport(
-            0, None, None, None, 0, 1.0, attributable=False,
+            0, None, None, None, 0, attributable=False,
             note="not attributable: no usable fit")
         assert all(r.attributable for r in reports[1:])
 
@@ -278,7 +257,7 @@ class TestReport:
                         -1.0, 3, True, 5)
         reports = attribution_report([c], {0: fit})
         assert reports == [AttributionReport(
-            0, None, None, None, 0, 1.0, attributable=False,
+            0, None, None, None, 0, attributable=False,
             note="not attributable: no endogenous mass")]
 
     def test_effectively_poisson_fit_marked_not_attributable(self):
@@ -294,27 +273,10 @@ class TestReport:
         plain = FitResult("hawkes", params, -1.0, 3, True, 5)
         assert attribution_report([c], {0: plain})[0].attributable
 
-    def test_negative_exogenous_share_noted_not_renormalized(self):
-        # one uploader with rising popularity: self and popularity overlap
-        c = make_cluster([0.5, 1.0, 1.5, 2.0, 2.5], ["u"] * 5,
-                         views=[10, 20, 40, 80, 160])
-        fit = FitResult("hawkes", {"mu": 0.2, "beta": 1.5, "omega": 2.0},
-                        -1.0, 3, True, 5)
-        reports = attribution_report([c], {0: fit})
-        r = reports[0]
-        assert r.s_self == 1.0
-        assert r.s_exo < 0.0
-        assert "negative exogenous" in r.note
-        assert r.s_self + r.s_pop + r.s_exo == 1.0
-
-    def test_bad_pop_scope_rejected(self):
-        clusters = self.synthetic_clusters()
-        with pytest.raises(ValueError, match="pop_scope"):
-            attribution_report(clusters, fits_for(clusters), pop_scope="global")
-
     def test_cluster_scope_changes_shares(self):
-        # uploader "u" is modest here but hugely popular in the other cluster,
-        # so platform-wide averages raise their threshold
+        # a report over cluster 0 alone takes its thresholds from that cluster;
+        # next to cluster 1, where uploader "u" is hugely popular, the
+        # platform-wide averages rise and only the popularity share moves
         a_events = tuple(
             Event(f"a{k}", 0.5 * (k + 1), "u", frozenset({"x"}), 50 + 10 * k, 0)
             for k in range(5))
@@ -328,6 +290,21 @@ class TestReport:
         fit = FitResult("hawkes", {"mu": 0.3, "beta": 1.0, "omega": 2.0},
                         -1.0, 3, True, 5)
         fits = {0: fit, 1: fit}
-        platform = attribution_report(clusters, fits, pop_scope="platform")
-        local = attribution_report(clusters, fits, pop_scope="cluster")
-        assert platform[0].s_pop < local[0].s_pop
+        [local] = attribution_report(clusters[:1], fits)
+        platform = attribution_report(clusters, fits)[0]
+        assert platform.s_pop < local.s_pop
+        assert platform.s_self == local.s_self
+        assert platform.s_self + platform.s_pop + platform.s_exo == 1.0
+
+    def test_negative_exogenous_share_noted_not_renormalized(self):
+        # one uploader with rising popularity: self and popularity overlap
+        c = make_cluster([0.5, 1.0, 1.5, 2.0, 2.5], ["u"] * 5,
+                         views=[10, 20, 40, 80, 160])
+        fit = FitResult("hawkes", {"mu": 0.2, "beta": 1.5, "omega": 2.0},
+                        -1.0, 3, True, 5)
+        reports = attribution_report([c], {0: fit})
+        r = reports[0]
+        assert r.s_self == 1.0
+        assert r.s_exo < 0.0
+        assert "negative exogenous" in r.note
+        assert r.s_self + r.s_pop + r.s_exo == 1.0

@@ -64,7 +64,7 @@ class TestBadInput:
 
 class TestPiecewiseConstant:
     def test_rates_are_per_bin_counts(self):
-        fit = fit_pc_nhpp([0.5, 1.5, 1.6, 8.5], 14.0, bin_width=7.0)
+        fit = fit_pc_nhpp([0.5, 1.5, 1.6, 8.5], 14.0)
         assert fit.params["bin_edges"] == [0.0, 7.0, 14.0]
         assert fit.params["rates"] == [3 / 7, 1 / 7]
         assert fit.log_likelihood == pytest.approx(
@@ -73,41 +73,35 @@ class TestPiecewiseConstant:
 
     def test_last_bin_truncated_at_horizon(self):
         # the bins end at the horizon, so the truncated bin is the first
-        fit = fit_pc_nhpp([1.0, 8.0, 9.5], 10.0, bin_width=7.0)
+        fit = fit_pc_nhpp([1.0, 8.0, 9.5], 10.0)
         assert fit.params["bin_edges"] == [0.0, 3.0, 10.0]
         assert fit.params["rates"] == [1 / 3.0, 2 / 7.0]
 
-    @pytest.mark.parametrize("T, bw", [(60.0, 7.0), (10.0, 7.0), (7.0, 7.0), (120.0, 7.0),
-                                       (59.5, 0.25), (1e3, 3.3)])
-    def test_last_bin_is_full_width(self, T, bw):
+    @pytest.mark.parametrize("T", [60.0, 10.0, 7.0, 120.0])
+    def test_last_bin_is_full_width(self, T):
         rng = np.random.default_rng(9)
-        fit = fit_pc_nhpp(np.sort(rng.uniform(0.0, T, size=30)), T, bin_width=bw)
+        fit = fit_pc_nhpp(np.sort(rng.uniform(0.0, T, size=30)), T)
         edges = fit.params["bin_edges"]
         assert edges[0] == 0.0 and edges[-1] == T
-        assert edges[-1] - edges[-2] == pytest.approx(bw, rel=1e-12)
-        assert np.all(np.diff(edges) > 0) and np.all(np.diff(edges) <= bw * (1 + 1e-12))
+        assert edges[-1] - edges[-2] == pytest.approx(7.0, rel=1e-12)
+        assert np.all(np.diff(edges) > 0) and np.all(np.diff(edges) <= 7.0 * (1 + 1e-12))
 
     def test_horizon_on_bin_boundary_adds_no_empty_bin(self):
-        fit = fit_pc_nhpp([1.0, 8.0], 14.0, bin_width=7.0)
+        fit = fit_pc_nhpp([1.0, 8.0], 14.0)
         assert len(fit.params["rates"]) == 2
 
     def test_single_bin_matches_poisson_exactly(self):
         rng = np.random.default_rng(8)
-        times = np.sort(rng.uniform(0, 30, size=40))
-        pc = fit_pc_nhpp(times, 30.0, bin_width=30.0)
-        po = fit_poisson(times, 30.0)
+        times = np.sort(rng.uniform(0, 7, size=40))
+        pc = fit_pc_nhpp(times, 7.0)
+        po = fit_poisson(times, 7.0)
         assert pc.log_likelihood == po.log_likelihood  # identical floats
         assert pc.params["rates"] == [po.params["mu"]]
 
     def test_empty_bins_contribute_nothing(self):
-        fit = fit_pc_nhpp([0.5], 21.0, bin_width=7.0)
+        fit = fit_pc_nhpp([0.5], 21.0)
         assert math.isfinite(fit.log_likelihood)
         assert fit.log_likelihood == pytest.approx(math.log(1 / 7) - 1)
-
-    @pytest.mark.parametrize("bw", [0.0, -1.0, math.inf])
-    def test_bad_bin_width_rejected(self, bw):
-        with pytest.raises(ValueError):
-            fit_pc_nhpp([1.0], 10.0, bin_width=bw)
 
 
 def drift_x(slope, intercept, T):

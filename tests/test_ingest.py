@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -93,6 +94,13 @@ class TestParsing:
         assert parse_events(path, horizon_T=30.0).horizon_T == 30.0
         with pytest.raises(ValueError):
             parse_events(path, horizon_T=0.5)
+
+    @pytest.mark.parametrize("horizon_T", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, tmp_path, horizon_T):
+        path = tmp_path / "ev.jsonl"
+        write_jsonl(path, [record("v1", 0.0), record("v2", 86400.0)])
+        with pytest.raises(ValueError, match=r"^horizon_T must be finite, got (nan|inf)$"):
+            parse_events(path, horizon_T=horizon_T)
 
     def test_parse_is_deterministic(self, tmp_path):
         path = tmp_path / "ev.jsonl"

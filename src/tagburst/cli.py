@@ -73,7 +73,7 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     """Rebuild GenreClusters from the input events plus the cluster artifacts;
     refuses a clusters.json whose cluster ids are not those of assignments.csv."""
     out = Path(args.out)
-    stream = parse_events(args.input, format=args.format)
+    stream = parse_events(args.input)
     meta_path, assign_path = out / "clusters.json", out / "assignments.csv"
     meta = _load_artifact(meta_path, "cluster")
     with _artifact_errors(meta_path, "cluster"):
@@ -134,7 +134,7 @@ def cmd_cluster(args) -> int:
     if args.eta is not None:
         taggraph._check_eta(args.eta)
     out = Path(args.out)
-    stream = parse_events(args.input, format=args.format)
+    stream = parse_events(args.input)
     graph = taggraph.build_affinity_graph(stream)
     if args.sweep is not None:
         lo, hi = args.sweep
@@ -304,8 +304,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     def common(p: argparse.ArgumentParser, needs_input: bool = True):
         if needs_input:
             p.add_argument("--input", required=True, help="event file (.jsonl or .csv)")
-            p.add_argument("--format", choices=["jsonl", "csv"], default=None,
-                           help="override the format inferred from the suffix")
         p.add_argument("--out", required=True, help="artifact directory")
         p.add_argument("--config", default=None,
                        help="key=value defaults file; explicit flags win")
@@ -370,10 +368,7 @@ def _apply_config(path: Path, stage: argparse.ArgumentParser,
         action = stage._option_string_actions.get(flag)
         if action is None:
             continue
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"{path}:{lineno}: {key} must be one of "
-                             f"{', '.join(action.choices)}, got {value!r}")
-        elif action.type is not None:
+        if action.type is not None:
             try:  # converted here, so argparse keeps the default as it is
                 value = action.type(value)
             except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:

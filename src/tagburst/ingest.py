@@ -205,33 +205,26 @@ def _records_from_csv(path: Path) -> Iterator[tuple[int, dict]]:
             yield reader.line_num, rec
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
-            raise ValueError(f"unknown format {fmt!r}: expected 'jsonl' or 'csv'")
-        return fmt
+def _infer_format(path: Path) -> str:
     suffix = path.suffix.lower()
-    if suffix in (".jsonl", ".json", ".ndjson"):
-        return "jsonl"
-    if suffix == ".csv":
-        return "csv"
-    raise ValueError(f"cannot infer format from {path.name!r}; pass format='jsonl' or 'csv'")
+    if suffix in (".jsonl", ".json", ".ndjson", ".csv"):
+        return "csv" if suffix == ".csv" else "jsonl"
+    raise ValueError(f"cannot infer format from {path.name!r}; "
+                     "expected .jsonl, .json, .ndjson or .csv")
 
 
-def parse_events(path: str | Path, format: str | None = None,
-                 horizon_T: float | None = None) -> EventStream:
+def parse_events(path: str | Path) -> EventStream:
     """Read upload records and normalize times to days since the earliest record.
 
+    The suffix names the format: JSON lines (.jsonl, .json, .ndjson) or CSV.
     Records need video_id, ts (ISO-8601 or epoch seconds), uploader_id, tags,
     views, and comments.  Events are sorted by (upload_time, video_id); the
-    horizon defaults to the last event time unless overridden.
+    horizon is the last event time.
     """
-    if horizon_T is not None and not math.isfinite(horizon_T):
-        raise ValueError(f"horizon_T must be finite, got {horizon_T}")
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    fmt = _infer_format(path, format)
+    fmt = _infer_format(path)
     records = _records_from_jsonl(path) if fmt == "jsonl" else _records_from_csv(path)
 
     # One pass: each record is checked, field by field in a fixed order, as it
@@ -262,12 +255,7 @@ def parse_events(path: str | Path, format: str | None = None,
     events = tuple(sorted([
         Event(vid, (micros - base) / MICROS_PER_DAY, uploader, tags, views, comments)
         for micros, vid, uploader, tags, views, comments in rows], key=_stream_order))
-    last = events[-1].upload_time
-    if horizon_T is None:
-        horizon_T = last
-    elif horizon_T < last:
-        raise ValueError(f"horizon_T={horizon_T} is before the last event at {last}")
-    return EventStream(origin=base / 1e6, events=events, horizon_T=float(horizon_T))
+    return EventStream(origin=base / 1e6, events=events, horizon_T=events[-1].upload_time)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -297,13 +285,14 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object
     _atomic_write_text(path, buf.getvalue())
 
 
-def write_events(stream: EventStream, path: str | Path, format: str | None = None) -> None:
-    """Serialize a stream back to the record schema (absolute epoch-second ts).
-    A stream without events is refused, since parse_events rejects its file."""
+def write_events(stream: EventStream, path: str | Path) -> None:
+    """Serialize a stream back to the record schema (absolute epoch-second ts) in
+    the format the suffix names.  A stream without events is refused, since
+    parse_events rejects its file."""
     path = Path(path)
     if not stream.events:
         raise ValueError(f"refusing to write {path}: the stream has no events")
-    fmt = _infer_format(path, format)
+    fmt = _infer_format(path)
     origin_us = round(stream.origin * 1e6)
     rows = [(e.video_id, (origin_us + round(e.upload_time * MICROS_PER_DAY)) / 1e6,
              e.uploader_id, sorted(e.tags), e.n_views, e.n_comments) for e in stream.events]

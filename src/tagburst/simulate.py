@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ from .ingest import Event, EventStream, _stream_order
 
 __all__ = [
     "SimConfig",
-    "PopularityModel",
     "ClusterSpec",
     "simulate_hawkes",
     "make_synthetic_corpus",
@@ -88,14 +87,11 @@ def simulate_hawkes(p: HawkesParams, c: SimConfig) -> np.ndarray:
     return np.asarray(out)
 
 
-@dataclass(frozen=True)
-class PopularityModel:
-    """Per-uploader latent quality q ~ lognormal(0, sigma^2); views and
-    comments are Poisson with means scaled by q."""
-
-    quality_sigma: float = 0.5
-    views_scale: float = 50.0
-    comments_scale: float = 5.0
+# per-uploader latent quality q ~ lognormal(0, _QUALITY_SIGMA^2); views and
+# comments are Poisson with means scaled by q
+_QUALITY_SIGMA = 0.5
+_VIEWS_SCALE = 50.0
+_COMMENTS_SCALE = 5.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +99,6 @@ class ClusterSpec:
     tags: frozenset[str]
     params: HawkesParams
     uploaders: tuple[str, ...]
-    popularity: PopularityModel = field(default_factory=PopularityModel)
 
     def __post_init__(self):
         if not self.tags:
@@ -112,11 +107,10 @@ class ClusterSpec:
             raise ValueError("cluster spec needs at least one uploader")
 
 
-def _uploader_quality(seed: int, uploader: str, sigma: float,
-                      cache: dict[str, float]) -> float:
+def _uploader_quality(seed: int, uploader: str, cache: dict[str, float]) -> float:
     if uploader not in cache:
         rng = _generator(seed, 3, zlib.crc32(uploader.encode("utf-8")))
-        cache[uploader] = float(rng.lognormal(0.0, sigma))
+        cache[uploader] = float(rng.lognormal(0.0, _QUALITY_SIGMA))
     return cache[uploader]
 
 
@@ -127,8 +121,10 @@ def make_synthetic_corpus(spec: Sequence[ClusterSpec], T: float,
     Every video carries its cluster's full tag set, so intra-cluster
     co-occurrence equals the cluster size and cross-cluster co-occurrence is
     zero.  Returns the merged stream and a ground-truth dict with the true
-    parameters and video labels.
+    parameters and video labels.  The seed must be a non-negative integer.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     _check_positive("corpus length T", T)
     all_tags: set[str] = set()
     for cs in spec:
@@ -144,16 +140,15 @@ def make_synthetic_corpus(spec: Sequence[ClusterSpec], T: float,
         times = simulate_hawkes(cs.params, SimConfig(
             seed=derive_seed(seed, 0, idx), t_start=0.0, t_end=float(T)))
         meta_rng = _generator(seed, 1, idx)
-        pop = cs.popularity
         for k, t in enumerate(times.tolist()):
             uploader = cs.uploaders[int(meta_rng.integers(len(cs.uploaders)))]
-            q = _uploader_quality(seed, uploader, pop.quality_sigma, quality)
+            q = _uploader_quality(seed, uploader, quality)
             vid = f"c{idx:02d}v{k:05d}"
             events.append(Event(
                 video_id=vid, upload_time=t, uploader_id=uploader,
                 tags=frozenset(cs.tags),
-                n_views=int(meta_rng.poisson(pop.views_scale * q)),
-                n_comments=int(meta_rng.poisson(pop.comments_scale * q))))
+                n_views=int(meta_rng.poisson(_VIEWS_SCALE * q)),
+                n_comments=int(meta_rng.poisson(_COMMENTS_SCALE * q))))
             labels[vid] = idx
         truth_clusters.append({
             "index": idx,

@@ -237,6 +237,31 @@ class TestArimaLite:
         with pytest.raises(ValueError):
             fit_arima_lite(np.ones(19))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_count_rejected(self, bad):
+        """A count that is not finite is named before any least squares run."""
+        counts = np.array([i % 5 for i in range(25)], dtype=float)
+        counts[10] = bad
+        with pytest.raises(ValueError, match=f"^daily counts must be finite, got {bad} at day 10$"):
+            fit_arima_lite(counts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_forecast_refuses_a_non_finite_count(self, bad):
+        counts = np.array([i % 5 for i in range(25)], dtype=float)
+        params = fit_arima_lite(counts).params
+        counts[10] = bad
+        with pytest.raises(ValueError, match=f"^daily counts must be finite, got {bad} at day 10$"):
+            forecast_arima(params, counts, 3)
+
+    def test_counts_that_are_not_one_dimensional_rejected(self):
+        counts = np.array([[i % 5 for i in range(25)]], dtype=float)
+        params = fit_arima_lite(counts[0]).params
+        message = r"^daily counts must be one-dimensional, got shape \(1, 25\)$"
+        with pytest.raises(ValueError, match=message):
+            fit_arima_lite(counts)
+        with pytest.raises(ValueError, match=message):
+            forecast_arima(params, counts, 3)
+
     def test_every_cell_scores_the_counts_after_the_first_two(self):
         # the common-sample rule: the Gaussian loglik of every cell covers
         # n - 2 residuals, and they are the CSS residuals of counts[2:]

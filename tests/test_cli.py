@@ -104,6 +104,13 @@ class TestSimulate:
             "error: corpus length T must be positive and finite, got inf\n"
         assert not out.exists()
 
+    def test_negative_seed_names_its_setting(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("simulate", "--out", str(out), "--seed", "-1") == 1
+        assert capsys.readouterr().err == \
+            "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
 
 class TestCluster:
     def test_toy_fixture_two_components_at_eta_two(self, tmp_path):
@@ -577,17 +584,8 @@ class TestConfigFile:
         assert f"{cfg}:3" in err and "threads" in err
         assert err.count("\n") == 1
 
-    def test_value_outside_choices_names_file_and_line(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta = 2\nformat = xml\n")
-        assert run("attribute", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(corpus), "--config", str(cfg)) == 1
-        err = capsys.readouterr().err
-        assert f"{cfg}:2" in err and "xml" in err
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize("key", ["w_comments", "pop_scope", "all_time_average",
-                                     "bin_width"])
+                                     "bin_width", "format"])
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"train_days = 60\n{key} = 1\n")
@@ -608,14 +606,6 @@ class TestConfigFile:
         assert run(stage, "--input", str(tmp_path / "events.jsonl"), "--out", str(tmp_path),
                    "--config", str(cfg)) == 1
         assert capsys.readouterr().err == f"error: {cfg}:2: {reason}\n"
-
-    def test_format_outside_choices_names_file_and_line(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format = xml\n")
-        assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(tmp_path), "--eta", "2", "--config", str(cfg)) == 1
-        err = capsys.readouterr().err
-        assert f"{cfg}:1" in err and "xml" in err
 
     def test_equals_form_is_honoured(self, corpus, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -656,37 +646,42 @@ def readme_pipeline(out):
 
 class TestCsvInput:
     def test_csv_input_gives_the_jsonl_artifacts(self, tmp_path):
-        """The README corpus written as events.csv, and as events.txt read with
-        --format csv, gives every artifact of the JSONL run byte for byte;
-        report.json differs only in the input name it records."""
+        """The README corpus written as events.csv gives every artifact of the
+        JSONL run byte for byte; report.json differs only in the input name it
+        records."""
         base = tmp_path / "jsonl"
         assert run("simulate", "--out", str(base), "--seed", "0", "--t-days", "120") == 0
-        stream = parse_events(base / "events.jsonl")
-        inputs = {"jsonl": (base / "events.jsonl", [])}
-        write_events(stream, tmp_path / "csv" / "events.csv")
-        inputs["csv"] = (tmp_path / "csv" / "events.csv", [])
-        write_events(stream, tmp_path / "txt" / "events.txt", format="csv")
-        inputs["txt"] = (tmp_path / "txt" / "events.txt", ["--format", "csv"])
-        for events, extra in inputs.values():
+        csv_events = tmp_path / "csv" / "events.csv"
+        write_events(parse_events(base / "events.jsonl"), csv_events)
+        for events in (base / "events.jsonl", csv_events):
             for stage, *flags in (["cluster", "--eta", "2", "--sweep", "1:4"], ["fit"],
                                   ["forecast", "--train-days", "60"], ["attribute"],
                                   ["report"]):
                 assert run(stage, "--input", str(events), "--out", str(events.parent),
-                           *extra, *flags) == 0, (events.name, stage)
+                           *flags) == 0, (events.name, stage)
         inputs_and_truth = {"events.jsonl", "ground_truth.json"}
         names = sorted(p.name for p in base.iterdir() if p.name not in inputs_and_truth)
         assert len(names) == 12
-        for events, _ in (inputs["csv"], inputs["txt"]):
-            out = events.parent
-            assert sorted(p.name for p in out.iterdir() if p != events) == names
-            for name in names:
-                if name == "report.json":
-                    report, expected = read_json(out / name), read_json(base / name)
-                    assert (report.pop("input"), expected.pop("input")) == \
-                        (events.name, "events.jsonl")
-                    assert report == expected
-                else:
-                    assert (out / name).read_bytes() == (base / name).read_bytes(), name
+        out = csv_events.parent
+        assert sorted(p.name for p in out.iterdir() if p != csv_events) == names
+        for name in names:
+            if name == "report.json":
+                report, expected = read_json(out / name), read_json(base / name)
+                assert (report.pop("input"), expected.pop("input")) == \
+                    ("events.csv", "events.jsonl")
+                assert report == expected
+            else:
+                assert (out / name).read_bytes() == (base / name).read_bytes(), name
+
+    def test_unknown_suffix_fails_in_one_line(self, tmp_path, capsys):
+        # the suffix alone names the format
+        events = tmp_path / "events.txt"
+        write_toy_events(events)
+        assert run("cluster", "--input", str(events), "--out", str(tmp_path),
+                   "--eta", "2", "--sweep", "1:2") == 1
+        assert capsys.readouterr().err == ("error: cannot infer format from 'events.txt'; "
+                                           "expected .jsonl, .json, .ndjson or .csv\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["events.txt"]
 
 
 class TestArtifactFiles:
@@ -733,7 +728,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("stage, flags", [
         ("attribute", ("--w-comments=1",)), ("attribute", ("--pop-scope=platform",)),
         ("attribute", ("--all-time-average",)),
-        ("forecast", ("--train-days", "60", "--bin-width=7"))])
+        ("forecast", ("--train-days", "60", "--bin-width=7")),
+        ("cluster", ("--eta", "2", "--format", "csv"))])
     def test_removed_flags_exit_two(self, tmp_path, capsys, stage, flags):
         with pytest.raises(SystemExit) as exc:
             run(stage, "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path), *flags)

@@ -5,7 +5,6 @@ import csv
 import inspect
 import io
 import json
-import math
 import random
 import re
 import tracemalloc
@@ -91,16 +90,6 @@ class TestParsing:
         path = tmp_path / "ev.jsonl"
         write_jsonl(path, [record("v1", 0.0), record("v2", 86400.0)])
         assert parse_events(path).horizon_T == 1.0
-        assert parse_events(path, horizon_T=30.0).horizon_T == 30.0
-        with pytest.raises(ValueError):
-            parse_events(path, horizon_T=0.5)
-
-    @pytest.mark.parametrize("horizon_T", [math.nan, math.inf])
-    def test_non_finite_horizon_rejected(self, tmp_path, horizon_T):
-        path = tmp_path / "ev.jsonl"
-        write_jsonl(path, [record("v1", 0.0), record("v2", 86400.0)])
-        with pytest.raises(ValueError, match=r"^horizon_T must be finite, got (nan|inf)$"):
-            parse_events(path, horizon_T=horizon_T)
 
     def test_parse_is_deterministic(self, tmp_path):
         path = tmp_path / "ev.jsonl"
@@ -128,15 +117,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nope.jsonl"):
             parse_events(tmp_path / "nope.jsonl")
 
-    @pytest.mark.parametrize("name, fmt, message", [
-        ("ev.txt", None, "cannot infer format from 'ev.txt'; pass format='jsonl' or 'csv'"),
-        ("ev.jsonl", "xml", "unknown format 'xml': expected 'jsonl' or 'csv'"),
-    ], ids=["unknown-suffix", "unknown-format"])
-    def test_format_neither_inferred_nor_known(self, tmp_path, name, fmt, message):
+    @pytest.mark.parametrize("name, message", [
+        ("ev.txt", "cannot infer format from 'ev.txt'; expected .jsonl, .json, .ndjson or .csv"),
+    ], ids=["unknown-suffix"])
+    def test_format_neither_inferred_nor_known(self, tmp_path, name, message):
         path = tmp_path / name
         write_jsonl(path, [record("v1", 0.0)])
         with pytest.raises(ValueError) as err:
-            parse_events(path, format=fmt)
+            parse_events(path)
         assert str(err.value) == message
 
     def test_duplicate_video_id(self, tmp_path):
@@ -240,8 +228,8 @@ class TestRoundTrip:
                            for i, ts in enumerate(epochs)])
         stream = parse_events(path)
         out = tmp_path / f"round.{fmt}"
-        write_events(stream, out, format=fmt)
-        again = parse_events(out, format=fmt)
+        write_events(stream, out)
+        again = parse_events(out)
         assert again == stream
 
     def test_csv_refuses_a_tag_holding_its_separator(self, tmp_path):
@@ -261,14 +249,6 @@ class TestRoundTrip:
                 f"refusing to write {path}: the stream has no events")):
             write_events(EventStream(origin=0.0, events=(), horizon_T=1.0), path)
         assert not path.parent.exists()
-
-    def test_overridden_horizon_round_trips_when_passed(self, tmp_path):
-        path = tmp_path / "ev.jsonl"
-        write_jsonl(path, [record("v1", 0.0), record("v2", 86400.0)])
-        stream = parse_events(path, horizon_T=10.0)
-        out = tmp_path / "round.jsonl"
-        write_events(stream, out)
-        assert parse_events(out, horizon_T=10.0) == stream
 
 
 class TestValidateStream:
@@ -314,11 +294,11 @@ def readme_lines(tmp_path_factory):
     return jsonl, rows
 
 
-def outcome(parser, path, fmt):
+def outcome(parser, path):
     """The stream a parser returns, or the type, message, line and field of
     the exception it raises."""
     try:
-        return parser(path, format=fmt)
+        return parser(path)
     except Exception as exc:  # any exception type is part of the outcome
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "field", None)
 
@@ -433,8 +413,8 @@ class TestAgainstReferenceParser:
             faulty[at] = JSONL_FAULTS[fault](json.loads(lines[at]), other["video_id"])
             path = tmp_path / f"{fault}.jsonl"
             path.write_text("\n".join(faulty) + "\n")
-            expected = outcome(reference_parse_events, path, "jsonl")
-            assert outcome(parse_events, path, "jsonl") == expected, (fault, at + 1)
+            expected = outcome(reference_parse_events, path)
+            assert outcome(parse_events, path) == expected, (fault, at + 1)
 
     @pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
     def test_csv_fault_at_a_random_row(self, tmp_path, readme_lines, fault):
@@ -446,8 +426,8 @@ class TestAgainstReferenceParser:
             faulty[at] = CSV_FAULTS[fault](rows[at], other)
             path = tmp_path / f"{fault}.csv"
             path.write_text(csv_text([header, *faulty]))
-            expected = outcome(reference_parse_events, path, "csv")
-            assert outcome(parse_events, path, "csv") == expected, (fault, at + 2)
+            expected = outcome(reference_parse_events, path)
+            assert outcome(parse_events, path) == expected, (fault, at + 2)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_clean_files_parse_to_equal_streams(self, tmp_path, readme_lines, newline):

@@ -6,9 +6,8 @@ import pytest
 from mc_reference import simulate_nhpp
 from oracles import validate_stream
 from tagburst.hawkes import HawkesParams, fit_mle
-from tagburst.simulate import (ClusterSpec, PopularityModel, SimConfig,
-                               SYNTH_ORIGIN, default_corpus_spec, derive_seed,
-                               make_synthetic_corpus, simulate_hawkes)
+from tagburst.simulate import (ClusterSpec, SimConfig, SYNTH_ORIGIN, default_corpus_spec,
+                               derive_seed, make_synthetic_corpus, simulate_hawkes)
 
 SUB = HawkesParams(mu=1.0, beta=0.5, omega=1.5)
 
@@ -195,10 +194,8 @@ class TestSyntheticCorpus:
 
     def test_quality_skews_views(self):
         # one uploader per cluster: per-cluster mean views reflect quality draw
-        pop = PopularityModel(quality_sigma=1.0)
         spec = [
-            ClusterSpec(frozenset({f"tag{i}"}), HawkesParams(2.0, 0.0, 1.0),
-                        (f"solo{i}",), pop)
+            ClusterSpec(frozenset({f"tag{i}"}), HawkesParams(2.0, 0.0, 1.0), (f"solo{i}",))
             for i in range(6)
         ]
         stream, truth = make_synthetic_corpus(spec, T=200.0, seed=21)

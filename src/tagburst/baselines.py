@@ -257,7 +257,7 @@ def _fit_cell(counts: np.ndarray, p: int, q: int) -> FitResult:
         ll, p + q + 2, ok, n_iter)
 
 
-def _daily_counts(counts: Sequence[float]) -> np.ndarray:
+def _checked_counts(counts: Sequence[float]) -> np.ndarray:
     """The counts as a float array, refused unless one-dimensional and finite."""
     y = np.asarray(counts, dtype=float)
     if y.ndim != 1:
@@ -275,7 +275,7 @@ def fit_arima_lite(counts: Sequence[float]) -> FitResult:
     Every cell is scored on the same counts (see _fit_cell), so the aics
     compare one dataset.  Nothing is clamped after the fit.
     """
-    counts = _daily_counts(counts)
+    counts = _checked_counts(counts)
     if counts.size < 20:
         raise ValueError(f"need a daily count series of length >= 20, got {counts.size}")
     return min((_fit_cell(counts, p, q) for p, q in product(range(_MAX_P + 1), range(3))),
@@ -291,7 +291,7 @@ def forecast_arima(params: Mapping[str, object], counts: Sequence[float],
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     p, q = params["p"], params["q"]
     ar, ma, intercept = params["ar"], params["ma"], params["intercept"]
-    counts = _daily_counts(counts)
+    counts = _checked_counts(counts)
     if counts.size < _MAX_P:
         raise ValueError(f"ARMA({p}, {q}) forecast needs at least "
                          f"{_MAX_P} observed counts, got {counts.size}")

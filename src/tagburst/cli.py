@@ -13,14 +13,14 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import attribution, baselines, forecast, simulate, taggraph
 from .hawkes import (FitResult, _check_positive, _params_from_fit, fit_mle,
                      fit_result_from_dict, fit_result_to_dict)
-from .ingest import ParseError, _atomic_write_text, _write_csv, parse_events, write_events
+from .ingest import _atomic_write_text, _write_csv, parse_events, write_events
 from .taggraph import GenreCluster
 
 __all__ = ["main"]
@@ -294,8 +294,7 @@ def _parse_sweep(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each stage by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tagburst",
         description="Cluster tagged upload streams and model their burst dynamics.")
@@ -303,10 +302,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     def common(p: argparse.ArgumentParser, needs_input: bool = True):
         if needs_input:
-            p.add_argument("--input", required=True, help="event file (.jsonl or .csv)")
+            p.add_argument("--input", required=True,
+                           help="event file (.jsonl, .json, .ndjson or .csv)")
         p.add_argument("--out", required=True, help="artifact directory")
-        p.add_argument("--config", default=None,
-                       help="key=value defaults file; explicit flags win")
 
     p = sub.add_parser("simulate", help="generate a labeled synthetic corpus")
     common(p, needs_input=False)
@@ -342,57 +340,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("report", help="collate artifacts into report.json and plot data")
     common(p)
     p.set_defaults(func=cmd_report)
-    return parser, sub.choices
-
-
-def _apply_config(path: Path, stage: argparse.ArgumentParser,
-                  stages: Mapping[str, argparse.ArgumentParser]) -> None:
-    """Make key = value lines of the config file defaults of the stage's flags.
-
-    A key that only other stages define is ignored, so one file can serve
-    the whole pipeline; a key that no stage defines is an error.
-    """
-    if not path.is_file():
-        raise FileNotFoundError(f"missing config file: {path}")
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if flag in ("--help", "--config") or \
-                not any(flag in p._option_string_actions for p in stages.values()):
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        action = stage._option_string_actions.get(flag)
-        if action is None:
-            continue
-        if action.type is not None:
-            try:  # converted here, so argparse keeps the default as it is
-                value = action.type(value)
-            except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-                reason = str(exc) if isinstance(exc, argparse.ArgumentTypeError) \
-                    else f"invalid {action.type.__name__} value {value!r}"
-                raise ValueError(f"{path}:{lineno}: {key}: {reason}") from None
-        # explicit flags win over the default
-        action.default = value
-        action.required = False
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, stages = _build_parser()
-    # find --config before the stage parser, which would demand flags the file may supply
-    pre = argparse.ArgumentParser(prog="tagburst", add_help=False)
-    pre.add_argument("--config")
-    config = pre.parse_known_args(argv)[0].config
+    args = _build_parser().parse_args(argv)
     try:
-        if config is not None and argv and argv[0] in stages:
-            _apply_config(Path(config), stages[argv[0]], stages)
-        args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,12 +50,10 @@ class HawkesParams:
     omega: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        _check_positive("mu", self.mu)
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        _check_positive("omega", self.omega)
 
     @property
     def branching_ratio(self) -> float:

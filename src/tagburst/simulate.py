@@ -28,6 +28,12 @@ __all__ = [
 SYNTH_ORIGIN = 1577836800.0  # 2020-01-01T00:00:00Z, anchors synthetic streams
 
 
+def _check_seed(seed: int) -> None:
+    """Raise unless seed is a non-negative Python or numpy integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Window (t_start, t_end], RNG seed, and optional conditioning history."""
@@ -38,6 +44,7 @@ class SimConfig:
     history: tuple[float, ...] = ()
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise ValueError("window endpoints must be finite")
         if self.t_end <= self.t_start:
@@ -123,8 +130,7 @@ def make_synthetic_corpus(spec: Sequence[ClusterSpec], T: float,
     zero.  Returns the merged stream and a ground-truth dict with the true
     parameters and video labels.  The seed must be a non-negative integer.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     _check_positive("corpus length T", T)
     all_tags: set[str] = set()
     for cs in spec:

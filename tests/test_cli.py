@@ -1,6 +1,5 @@
 """End-to-end behavior of the pipeline commands (in-process)."""
 
-import codecs
 import csv
 import dataclasses
 import json
@@ -536,103 +535,6 @@ class TestMalformedArtifacts:
         assert err.count("\n") == 1
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults(self, corpus, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta=2\n\n# comment line\n")
-        out = tmp_path / "cfg_out"
-        assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(out), "--config", str(cfg)) == 0
-        assert read_json(out / "clusters.json")["eta"] == 2
-
-    def test_explicit_flag_beats_config(self, corpus, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta=2\n")
-        out = tmp_path / "cfg_out"
-        assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(out), "--config", str(cfg), "--eta", "3") == 0
-        assert read_json(out / "clusters.json")["eta"] == 3
-
-    def test_malformed_config_line_fails(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta\n")
-        assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(tmp_path), "--config", str(cfg)) == 1
-        assert "key=value" in capsys.readouterr().err
-
-    def test_missing_config_fails(self, corpus, tmp_path, capsys):
-        assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(tmp_path), "--config",
-                   str(tmp_path / "ghost.cfg")) == 1
-        assert "ghost.cfg" in capsys.readouterr().err
-
-    def test_one_config_serves_every_stage(self, corpus, tmp_path):
-        # each stage ignores the keys another stage owns; required flags may come from the file
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"input = {corpus / 'events.jsonl'}\neta = 2\ntrain_days = 60\n")
-        for stage in ("cluster", "fit", "attribute"):
-            assert run(stage, "--out", str(corpus), "--config", str(cfg)) == 0
-        assert read_json(corpus / "clusters.json")["eta"] == 2
-        assert (corpus / "attribution.json").is_file()
-
-    def test_unknown_key_names_file_and_line(self, corpus, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta = 2\n\nthreads = 4\n")
-        assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(tmp_path), "--config", str(cfg)) == 1
-        err = capsys.readouterr().err
-        assert f"{cfg}:3" in err and "threads" in err
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("key", ["w_comments", "pop_scope", "all_time_average",
-                                     "bin_width", "format"])
-    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"train_days = 60\n{key} = 1\n")
-        for stage in ("forecast", "attribute"):
-            assert run(stage, "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path),
-                       "--config", str(cfg)) == 1
-            assert capsys.readouterr().err == f"error: {cfg}:2: unknown key {key!r}\n"
-
-    @pytest.mark.parametrize("stage, line, reason", [
-        ("forecast", "train_days = abc", "train_days: invalid float value 'abc'"),
-        ("cluster", "eta = 1.5", "eta: invalid int value '1.5'"),
-        ("cluster", "sweep = 3", "sweep: expected A:B with integers, got '3'"),
-    ], ids=["train-days", "eta", "sweep"])
-    def test_value_the_flag_cannot_convert_names_file_and_line(
-            self, tmp_path, capsys, stage, line, reason):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"# {stage}\n{line}\n")
-        assert run(stage, "--input", str(tmp_path / "events.jsonl"), "--out", str(tmp_path),
-                   "--config", str(cfg)) == 1
-        assert capsys.readouterr().err == f"error: {cfg}:2: {reason}\n"
-
-    def test_equals_form_is_honoured(self, corpus, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta=2\n")
-        out = tmp_path / "cfg_out"
-        assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(out), f"--config={cfg}") == 0
-        assert read_json(out / "clusters.json")["eta"] == 2
-
-    def test_leading_byte_order_mark_is_accepted(self, corpus, tmp_path):
-        # a config saved with a UTF-8 BOM gives the run of the same file without it
-        for name, prefix in (("plain", b""), ("marked", codecs.BOM_UTF8)):
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_bytes(prefix + b"eta = 2\ntrain_days = 60\n")
-            assert run("cluster", "--input", str(corpus / "events.jsonl"),
-                       "--out", str(tmp_path / name), "--config", str(cfg)) == 0
-        for artifact in ("clusters.json", "assignments.csv"):
-            assert (tmp_path / "marked" / artifact).read_bytes() == \
-                (tmp_path / "plain" / artifact).read_bytes()
-
-    def test_bare_config_is_usage_error(self, corpus):
-        with pytest.raises(SystemExit) as exc:
-            run("cluster", "--input", str(corpus / "events.jsonl"),
-                "--out", str(corpus), "--config")
-        assert exc.value.code == 2
-
-
 def readme_pipeline(out):
     events = str(out / "events.jsonl")
     for argv in (["simulate", "--out", str(out), "--seed", "0", "--t-days", "120"],
@@ -729,12 +631,19 @@ class TestUsageErrors:
         ("attribute", ("--w-comments=1",)), ("attribute", ("--pop-scope=platform",)),
         ("attribute", ("--all-time-average",)),
         ("forecast", ("--train-days", "60", "--bin-width=7")),
-        ("cluster", ("--eta", "2", "--format", "csv"))])
+        ("cluster", ("--eta", "2", "--format", "csv")),
+        ("cluster", ("--eta", "2", "--config", "run.cfg"))])
     def test_removed_flags_exit_two(self, tmp_path, capsys, stage, flags):
         with pytest.raises(SystemExit) as exc:
             run(stage, "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path), *flags)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bare_config_is_usage_error(self, corpus):
+        with pytest.raises(SystemExit) as exc:
+            run("cluster", "--input", str(corpus / "events.jsonl"),
+                "--out", str(corpus), "--config")
+        assert exc.value.code == 2
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -35,6 +35,20 @@ class TestSimConfig:
         c = SimConfig(seed=1, t_start=5.0, t_end=6.0, history=(1.0, 4.9))
         assert c.history == (1.0, 4.9)
 
+    def test_rejects_fractional_seed(self):
+        # 2.7 would otherwise draw the times of seed 2
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got 2\.7$"):
+            simulate_hawkes(SUB, SimConfig(seed=2.7, t_start=0.0, t_end=10.0))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            SimConfig(seed=-1, t_start=0.0, t_end=10.0)
+
+    def test_numpy_integer_seed_draws_as_the_int(self):
+        cfg = SimConfig(seed=np.uint64(7), t_start=0.0, t_end=10.0)
+        plain = SimConfig(seed=7, t_start=0.0, t_end=10.0)
+        assert np.array_equal(simulate_hawkes(SUB, cfg), simulate_hawkes(SUB, plain))
+
 
 class TestHawkesSimulation:
     def test_same_seed_reproduces_exactly(self):
@@ -155,6 +169,16 @@ class TestSyntheticCorpus:
     def test_cluster_spec_needs_tags_and_uploaders(self, tags, uploaders, message):
         with pytest.raises(ValueError, match=message):
             ClusterSpec(tags, SUB, uploaders)
+
+    def test_rejects_fractional_seed(self):
+        # 1.5 would otherwise give seed 1's corpus and record "seed": 1
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got 1\.5$"):
+            make_synthetic_corpus(default_corpus_spec(), 10.0, 1.5)
+
+    def test_numpy_integer_seed_gives_the_int_corpus(self):
+        spec = default_corpus_spec()
+        assert make_synthetic_corpus(spec, 10.0, np.int64(3)) == \
+            make_synthetic_corpus(spec, 10.0, 3)
 
     def test_stream_is_valid_and_reproducible(self):
         spec = default_corpus_spec()

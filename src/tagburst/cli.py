@@ -176,8 +176,10 @@ def cmd_fit(args) -> int:
                 entry[model] = {"error": str(exc)}
         entries.append(entry)
     _write_json(out / "fits.json", {"eta": meta.get("eta"), "clusters": entries})
-    n_ok = sum(1 for e in entries if "error" not in e["hawkes"])
-    print(f"wrote {out / 'fits.json'} ({n_ok}/{len(entries)} self-exciting fits)")
+    hawkes = [e["hawkes"] for e in entries if "error" not in e["hawkes"]]
+    n_poisson = sum("effectively_poisson" in h.get("warnings", ()) for h in hawkes)
+    print(f"wrote {out / 'fits.json'} ({len(hawkes)}/{len(entries)} Hawkes fits, "
+          f"{n_poisson} effectively Poisson)")
     return 0
 
 
@@ -191,11 +193,8 @@ def cmd_forecast(args) -> int:
                          f"{', '.join(forecast.KNOWN_MODELS)}")
     models = forecast._check_models(models)
     _check_positive("train_days", args.train_days)
-    _check_positive("horizon_days", args.horizon_days)
-    # the stage fits its own models: fits.json only has to show that fit ran
-    _load_artifact(out / "fits.json", "fit")
     stream, clusters, _ = _load_clusters(args)
-    spec = forecast.default_split(stream.horizon_T, args.train_days, args.horizon_days)
+    spec = forecast.default_split(stream.horizon_T, args.train_days)
     table = forecast.evaluate_all(clusters, spec, models)
 
     header = ["cluster_id", "model", "train_days", "horizon_days", "loglik", "aic",
@@ -204,7 +203,7 @@ def cmd_forecast(args) -> int:
                [[getattr(r, k) for k in header] for r in table.rows])
     _write_json(out / "forecast.json", {
         "train_days": spec.train_days,
-        "horizon_days": spec.horizon_days,
+        "horizon_days": forecast.HORIZON_DAYS,
         "split_point": spec.split_point,
         "models": models,
         "clusters": [{"cluster_id": c.cluster_id, "n_events": len(c.events)}
@@ -219,6 +218,8 @@ def cmd_forecast(args) -> int:
     msg = f"wrote {out / 'forecast.csv'} ({len(table.rows)} rows"
     if refused:
         msg += f", {refused} refused"
+    if table.exclusions:
+        msg += f", {len(table.exclusions)} excluded"
     print(msg + ")")
     return 0
 
@@ -327,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="train/test evaluation of count forecasts")
     common(p)
-    p.add_argument("--train-days", type=float, default=None)
-    p.add_argument("--horizon-days", type=float, default=14.0)
+    p.add_argument("--train-days", type=float, default=None, help=(
+        f"training window in days; the last {forecast.HORIZON_DAYS:g} days are the test window"))
     p.add_argument("--models", default=DEFAULT_MODELS,
                    help=f"comma-separated subset of {', '.join(forecast.KNOWN_MODELS)}")
     p.set_defaults(func=cmd_forecast)

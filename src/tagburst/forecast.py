@@ -20,6 +20,7 @@ from .hawkes import (FitResult, HawkesParams, _check_positive, _check_times, _ex
 from .taggraph import GenreCluster
 
 __all__ = [
+    "HORIZON_DAYS",
     "SplitSpec",
     "EvalRow",
     "EvaluationTable",
@@ -31,20 +32,19 @@ __all__ = [
 ]
 
 POOLED_CLUSTER_ID = -1  # row id for models fit on all clusters pooled
+HORIZON_DAYS = 14.0  # the length of every split's test window
 
 
 @dataclass(frozen=True)
 class SplitSpec:
     """Training window [split_point - train_days, split_point] and test
-    window (split_point, split_point + horizon_days]."""
+    window (split_point, split_point + HORIZON_DAYS]."""
 
     train_days: float
     split_point: float
-    horizon_days: float = 14.0
 
     def __post_init__(self):
         _check_positive("train_days", self.train_days)
-        _check_positive("horizon_days", self.horizon_days)
         if not math.isfinite(self.split_point):
             raise ValueError(f"split_point must be finite, got {self.split_point}")
         if self.split_point - self.train_days < 0:
@@ -53,20 +53,18 @@ class SplitSpec:
                 f"train_days={self.train_days})")
 
     def check_horizon(self, horizon_T: float) -> None:
-        if self.split_point + self.horizon_days > horizon_T + 1e-9:
+        if self.split_point + HORIZON_DAYS > horizon_T + 1e-9:
             raise ValueError(
-                f"test window ends at {self.split_point + self.horizon_days}, beyond "
+                f"test window ends at {self.split_point + HORIZON_DAYS}, beyond "
                 f"horizon_T={horizon_T}")
 
 
-def default_split(horizon_T: float, train_days: float,
-                  horizon_days: float = 14.0) -> SplitSpec:
+def default_split(horizon_T: float, train_days: float) -> SplitSpec:
     """Split so the test window ends exactly at the stream horizon."""
-    if horizon_days >= horizon_T:
-        raise ValueError(f"horizon_days={horizon_days} must be shorter than the stream "
-                         f"(horizon_T={horizon_T})")
-    return SplitSpec(train_days=train_days, split_point=horizon_T - horizon_days,
-                     horizon_days=horizon_days)
+    if HORIZON_DAYS >= horizon_T:
+        raise ValueError(f"the stream (horizon_T={horizon_T}) is not longer than the "
+                         f"{HORIZON_DAYS:g}-day test window")
+    return SplitSpec(train_days=train_days, split_point=horizon_T - HORIZON_DAYS)
 
 
 def split_stream(times: Sequence[float], spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +74,7 @@ def split_stream(times: Sequence[float], spec: SplitSpec) -> tuple[np.ndarray, n
     lo = spec.split_point - spec.train_days
     train = times[(times >= lo) & (times <= spec.split_point)]
     test = times[(times > spec.split_point) &
-                 (times <= spec.split_point + spec.horizon_days)]
+                 (times <= spec.split_point + HORIZON_DAYS)]
     if train.size == 0:
         raise ValueError(
             f"empty training window [{lo}, {spec.split_point}]")
@@ -166,47 +164,42 @@ def _daily_counts(times: np.ndarray, span: float) -> np.ndarray:
 
 
 # Each model fits the training events on [0, T] and forecasts the count over
-# (T, T + horizon]: (fit, predicted), with predicted None when the fit refuses
+# (T, T + HORIZON_DAYS]: (fit, predicted), with predicted None when the fit refuses
 # to forecast.  Fitters are looked up at call time, so patching them takes effect.
 
-def _hawkes(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float | None]:
+def _hawkes(train: np.ndarray, T: float) -> tuple[FitResult, float | None]:
     fit = fit_mle(train, T)
     if "supercritical" in fit.warnings:
         return fit, None
-    return fit, expected_count(_params_from_fit(fit), train, T, horizon)
+    return fit, expected_count(_params_from_fit(fit), train, T, HORIZON_DAYS)
 
 
-def _poisson(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
+def _poisson(train: np.ndarray, T: float) -> tuple[FitResult, float]:
     fit = baselines.fit_poisson(train, T)
-    return fit, float(fit.params["mu"]) * horizon
+    return fit, float(fit.params["mu"]) * HORIZON_DAYS
 
 
-def _pc_nhpp(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
+def _pc_nhpp(train: np.ndarray, T: float) -> tuple[FitResult, float]:
     fit = baselines.fit_pc_nhpp(train, T)
-    return fit, float(fit.params["rates"][-1]) * horizon
+    return fit, float(fit.params["rates"][-1]) * HORIZON_DAYS
 
 
-def _nhpp_drift(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
+def _nhpp_drift(train: np.ndarray, T: float) -> tuple[FitResult, float]:
     fit = baselines.fit_nhpp_drift(train, T)
     m = float(fit.params["mu_slope"])
     b = float(fit.params["b_intercept"])
-    end = T + horizon
+    end = T + HORIZON_DAYS
     if m >= 0 or (m * end + b) > 0:
-        return fit, m * 0.5 * (end * end - T * T) + b * horizon
+        return fit, m * 0.5 * (end * end - T * T) + b * HORIZON_DAYS
     end = max(-b / m, T)  # rate hits zero inside the window; integrate up to it
     return fit, m * 0.5 * (end * end - T * T) + b * (end - T)
 
 
-def _arima_lite(train: np.ndarray, T: float, horizon: float) -> tuple[FitResult, float]:
+def _arima_lite(train: np.ndarray, T: float) -> tuple[FitResult, float]:
     counts = _daily_counts(train, T)
     fit = baselines.fit_arima_lite(counts)
-    full_days = int(math.floor(horizon))
-    frac = horizon - full_days
-    levels = baselines.forecast_arima(fit.params, counts, full_days + (1 if frac else 0))
-    predicted = float(np.sum(levels[:full_days]))
-    if frac:
-        predicted += frac * float(levels[full_days])
-    return fit, predicted
+    levels = baselines.forecast_arima(fit.params, counts, int(HORIZON_DAYS))
+    return fit, float(np.sum(levels))
 
 
 _MODELS = {"arima_lite": _arima_lite, "hawkes": _hawkes, "hawkes_global": _hawkes,
@@ -226,7 +219,7 @@ def _check_models(models: Sequence[str]) -> list[str]:
 def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
                  models: Sequence[str]) -> EvaluationTable:
     """Fit every requested model per cluster on the training window and score
-    its forecast on the held-out window.
+    its forecast of the count in the HORIZON_DAYS test window.
 
     Failures are isolated: a model that cannot be fit on one cluster yields a
     'failed' row, a supercritical self-exciting fit yields a 'refused' row,
@@ -262,7 +255,7 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
         for model in unit_models:
             fit = predicted = None
             try:
-                fit, predicted = _MODELS[model](train, spec.train_days, spec.horizon_days)
+                fit, predicted = _MODELS[model](train, spec.train_days)
             except Exception as exc:  # isolate per-model failures
                 status, note = "failed", str(exc)
             else:
@@ -272,7 +265,7 @@ def evaluate_all(clusters: Sequence[GenreCluster], spec: SplitSpec,
                 (fit.log_likelihood, fit.aic, fit.optimizer, fit.grad_max)
             predicted, abs_error, rel_error = (None,) * 3 if predicted is None else \
                 _scored(predicted, actual)
-            rows.append(EvalRow(cluster_id, model, spec.train_days, spec.horizon_days,
+            rows.append(EvalRow(cluster_id, model, spec.train_days, HORIZON_DAYS,
                                 loglik, aic, predicted, actual, abs_error, rel_error,
                                 status, note, optimizer, grad_max))
 

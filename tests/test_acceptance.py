@@ -22,7 +22,8 @@ from oracles import (bfs_components, brute_attribution, central_difference, dire
                      drift_profile)
 from tagburst.attribution import _pair_sums, attribution_report
 from tagburst.baselines import _drift_dh, fit_poisson
-from tagburst.forecast import SplitSpec, expected_count, holdout_log_likelihood, split_stream
+from tagburst.forecast import (HORIZON_DAYS, SplitSpec, expected_count, holdout_log_likelihood,
+                               split_stream)
 from tagburst.hawkes import (FitResult, HawkesParams, fit_mle, log_likelihood,
                              log_likelihood_gradient, rescaled_residuals)
 from tagburst.ingest import Event, EventStream
@@ -238,8 +239,8 @@ def test_08_per_cluster_fits_beat_one_shared_fit():
     # and windows as the per-cluster fits.
     params = [HawkesParams(0.8, 0.5, 1.0), HawkesParams(0.25, 1.8, 2.25),
               HawkesParams(1.6, 0.2, 2.0)]
-    T, train_days, horizon = 220.0, 60.0, 14.0
-    spec = SplitSpec(train_days, T - horizon, horizon)
+    T, train_days, horizon = 220.0, 60.0, HORIZON_DAYS
+    spec = SplitSpec(train_days, T - horizon)
     offset = spec.split_point - train_days
 
     ll_wins = err_wins = usable = 0

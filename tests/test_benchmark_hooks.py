@@ -1,7 +1,8 @@
 """Every per-layer metric that BENCHMARK.json declares is one the perfbench
 harness can still produce, so deleting or renaming a function the harness
 hooks fails here rather than in a traced benchmark run; and every function
-it hooks runs in the README pipeline, so no metric times dead code."""
+it hooks runs in the README pipeline, so no metric times dead code; and the
+benchmark's check of the forecast counts assumes the package's test window."""
 
 import json
 import os
@@ -94,3 +95,11 @@ def test_every_span_annotator_reads_its_result(traced_pipeline):
 def test_every_hooked_function_runs_in_the_readme_pipeline(traced_pipeline):
     # a hook on a function no stage calls would time nothing on every run
     assert traced_pipeline["silent"] == []
+
+
+def test_benchmark_assumes_the_packages_test_window():
+    # the benchmark's check of each row's actual count splits off this window
+    package, benchmark = run_in_perfbench(
+        "import json, workloads\nfrom tagburst import forecast\n"
+        "print(json.dumps([forecast.HORIZON_DAYS, workloads.HORIZON_DAYS]))")
+    assert package == benchmark

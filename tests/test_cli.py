@@ -215,6 +215,21 @@ class TestFit:
             assert entry["poisson"]["model"] == "poisson"
             assert entry["poisson"]["n_params"] == 1
 
+    def test_summary_counts_hawkes_fits_and_effectively_poisson(self, corpus, tmp_path,
+                                                                capsys):
+        # the README corpus: one cluster's branching ratio is ~1e-10
+        readme = tmp_path / "readme"
+        run("simulate", "--out", str(readme), "--seed", "0", "--t-days", "120")
+        for out, line in ((readme, "3/3 Hawkes fits, 1 effectively Poisson"),
+                          (corpus, "3/3 Hawkes fits, 0 effectively Poisson")):
+            clustered(out)
+            capsys.readouterr()
+            assert run("fit", "--input", str(out / "events.jsonl"), "--out", str(out)) == 0
+            assert capsys.readouterr().out == f"wrote {out / 'fits.json'} ({line})\n"
+        flagged = [e["cluster_id"] for e in read_json(readme / "fits.json")["clusters"]
+                   if "effectively_poisson" in e["hawkes"].get("warnings", ())]
+        assert len(flagged) == 1
+
     def test_rerun_is_byte_identical(self, corpus):
         fitted(corpus)
         first = (corpus / "fits.json").read_bytes()
@@ -250,11 +265,18 @@ class TestFit:
 
 
 class TestForecast:
-    def test_requires_fits(self, corpus, capsys):
+    def test_needs_clusters_not_fits(self, corpus, capsys):
+        argv = ("forecast", "--input", str(corpus / "events.jsonl"), "--out", str(corpus),
+                "--train-days", "60")
+        assert run(*argv) == 1
+        assert "tagburst cluster" in capsys.readouterr().err
         clustered(corpus)
-        assert run("forecast", "--input", str(corpus / "events.jsonl"),
-                   "--out", str(corpus), "--train-days", "60") == 1
-        assert "tagburst fit" in capsys.readouterr().err
+        assert run(*argv) == 0
+        written = {name: (corpus / name).read_bytes()
+                   for name in ("forecast.csv", "forecast.json")}
+        fitted(corpus)
+        assert run(*argv) == 0
+        assert {name: (corpus / name).read_bytes() for name in written} == written
 
     def test_writes_table_and_aggregates(self, corpus):
         fitted(corpus)
@@ -327,22 +349,34 @@ class TestForecast:
                    "--out", str(corpus)) == 1
         assert "--train-days" in capsys.readouterr().err
 
-    def test_horizon_longer_than_the_stream_is_named(self, corpus, capsys):
-        fitted(corpus)
-        horizon_T = parse_events(corpus / "events.jsonl").horizon_T
+    def test_horizon_longer_than_the_stream_is_named(self, tmp_path, capsys):
+        out = tmp_path / "short"
+        assert run("simulate", "--out", str(out), "--seed", "7", "--t-days", "10") == 0
+        fitted(out)
+        horizon_T = parse_events(out / "events.jsonl").horizon_T
+        assert horizon_T < 14.0
+        assert run("forecast", "--input", str(out / "events.jsonl"), "--out", str(out),
+                   "--train-days", "5") == 1
+        assert capsys.readouterr().err == (f"error: the stream (horizon_T={horizon_T}) is "
+                                           "not longer than the 14-day test window\n")
+        assert not (out / "forecast.csv").exists()
+
+    def test_excluded_clusters_are_counted(self, corpus, capsys):
+        clustered(corpus)
+        capsys.readouterr()
         assert run("forecast", "--input", str(corpus / "events.jsonl"), "--out", str(corpus),
-                   "--train-days", "60", "--horizon-days", "200") == 1
-        assert capsys.readouterr().err == ("error: horizon_days=200.0 must be shorter than "
-                                           f"the stream (horizon_T={horizon_T})\n")
-        assert not (corpus / "forecast.csv").exists()
+                   "--train-days", "1e-300") == 0
+        assert capsys.readouterr().out == \
+            f"wrote {corpus / 'forecast.csv'} (0 rows, 3 excluded)\n"
+        assert len(read_json(corpus / "forecast.json")["exclusions"]) == 3
 
     @pytest.mark.parametrize("flags, named", [
         ((), "--train-days"), (("--train-days", "60", "--models", ","), "--models"),
         (("--train-days", "60", "--models", "hawkes,sarima"), "unknown model(s): sarima"),
         (("--train-days", "0"), "train_days must be positive"),
-        (("--train-days", "60", "--horizon-days=-1"), "horizon_days must be positive"),
-        (("--train-days", "60", "--horizon-days", "0"), "horizon_days must be positive"),
-        (("--train-days", "60", "--horizon-days", "nan"), "horizon_days must be positive"),
+        (("--train-days=-1",), "train_days must be positive"),
+        (("--train-days", "nan"), "train_days must be positive"),
+        (("--train-days=-inf",), "train_days must be positive"),
         (("--train-days", "inf"), "train_days must be positive and finite, got inf")])
     def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, flags, named):
         assert run("forecast", "--input", str(tmp_path / "nope.jsonl"),
@@ -632,7 +666,8 @@ class TestUsageErrors:
         ("attribute", ("--all-time-average",)),
         ("forecast", ("--train-days", "60", "--bin-width=7")),
         ("cluster", ("--eta", "2", "--format", "csv")),
-        ("cluster", ("--eta", "2", "--config", "run.cfg"))])
+        ("cluster", ("--eta", "2", "--config", "run.cfg")),
+        ("forecast", ("--train-days", "60", "--horizon-days", "7"))])
     def test_removed_flags_exit_two(self, tmp_path, capsys, stage, flags):
         with pytest.raises(SystemExit) as exc:
             run(stage, "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path), *flags)

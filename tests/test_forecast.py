@@ -10,9 +10,9 @@ from mc_reference import mc_expected_count
 from oracles import (conditional_mean_by_ode, direct_compensator, direct_intensity,
                      expected_count_by_quadrature)
 from tagburst import baselines
-from tagburst.forecast import (POOLED_CLUSTER_ID, SplitSpec, default_split, evaluate_all,
-                               expected_count, _scored, holdout_log_likelihood,
-                               split_stream)
+from tagburst.forecast import (HORIZON_DAYS, POOLED_CLUSTER_ID, SplitSpec, default_split,
+                               evaluate_all, expected_count, _scored,
+                               holdout_log_likelihood, split_stream)
 from tagburst.hawkes import HawkesParams, fit_mle
 from tagburst.ingest import Event, EventStream
 from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
@@ -24,20 +24,20 @@ P = HawkesParams(mu=0.5, beta=1.0, omega=2.0)
 class TestSplitSpec:
     def test_window_arithmetic(self):
         times = np.arange(1.0, 101.0)
-        train, test = split_stream(times, SplitSpec(30.0, 60.0, 14.0))
+        train, test = split_stream(times, SplitSpec(30.0, 60.0))
         np.testing.assert_array_equal(train, np.arange(30.0, 61.0))
         np.testing.assert_array_equal(test, np.arange(61.0, 75.0))
 
     def test_train_and_test_disjoint_subsets(self):
         rng = np.random.default_rng(2)
         times = np.sort(rng.uniform(0, 100, size=300))
-        train, test = split_stream(times, SplitSpec(40.0, 70.0, 20.0))
+        train, test = split_stream(times, SplitSpec(40.0, 70.0))
         assert not set(train) & set(test)
         assert set(train) | set(test) <= set(times)
 
     def test_events_before_window_discarded(self):
         times = np.array([1.0, 5.0, 11.0, 12.0, 16.0])
-        train, test = split_stream(times, SplitSpec(5.0, 15.0, 5.0))
+        train, test = split_stream(times, SplitSpec(5.0, 15.0))
         np.testing.assert_array_equal(train, [11.0, 12.0])
         np.testing.assert_array_equal(test, [16.0])
 
@@ -45,32 +45,31 @@ class TestSplitSpec:
         # a read-only input, like EventStream.times, gives new writable arrays
         times = np.arange(1.0, 101.0)
         times.flags.writeable = False
-        train, test = split_stream(times, SplitSpec(30.0, 60.0, 14.0))
+        train, test = split_stream(times, SplitSpec(30.0, 60.0))
         for part in (train, test):
             assert not np.shares_memory(part, times)
             assert part.flags.writeable
 
     def test_empty_training_window_rejected(self):
         with pytest.raises(ValueError, match="empty training window"):
-            split_stream(np.array([50.0]), SplitSpec(10.0, 30.0, 14.0))
+            split_stream(np.array([50.0]), SplitSpec(10.0, 30.0))
 
     def test_window_before_time_zero_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(train_days=40.0, split_point=30.0)
 
-    @pytest.mark.parametrize("td,h", [(0.0, 14.0), (-1.0, 14.0), (10.0, 0.0),
-                                      (10.0, -3.0), (math.nan, 14.0)])
-    def test_degenerate_windows_rejected(self, td, h):
-        with pytest.raises(ValueError):
-            SplitSpec(train_days=td, split_point=50.0, horizon_days=h)
+    @pytest.mark.parametrize("td,split_point", [(0.0, 14.0), (-1.0, 14.0), (math.nan, 14.0)])
+    def test_degenerate_windows_rejected(self, td, split_point):
+        with pytest.raises(ValueError, match="^train_days must be positive"):
+            SplitSpec(train_days=td, split_point=split_point)
 
     @pytest.mark.parametrize("split_point", [math.nan, math.inf])
     def test_non_finite_split_point_rejected(self, split_point):
         with pytest.raises(ValueError, match=r"^split_point must be finite, got (nan|inf)$"):
-            SplitSpec(60.0, split_point, 14.0)
+            SplitSpec(60.0, split_point)
 
     def test_horizon_past_stream_end_rejected(self):
-        spec = SplitSpec(10.0, 95.0, 14.0)
+        spec = SplitSpec(10.0, 95.0)
         with pytest.raises(ValueError, match="beyond"):
             spec.check_horizon(100.0)
         event = Event("v0", 90.0, "u", frozenset({"x"}), 0, 0)
@@ -79,9 +78,16 @@ class TestSplitSpec:
             evaluate_all([cluster], spec, ["poisson"])
 
     def test_default_split_ends_at_horizon(self):
-        spec = default_split(100.0, train_days=30.0, horizon_days=14.0)
-        assert spec.split_point + spec.horizon_days == 100.0
+        spec = default_split(100.0, train_days=30.0)
+        assert spec.split_point + HORIZON_DAYS == 100.0
         spec.check_horizon(100.0)
+
+    @pytest.mark.parametrize("horizon_T", [14.0, 10.0])
+    def test_default_split_needs_a_stream_longer_than_the_test_window(self, horizon_T):
+        with pytest.raises(ValueError, match=(
+                rf"^the stream \(horizon_T={horizon_T}\) is not longer than the "
+                r"14-day test window$")):
+            default_split(horizon_T, train_days=1.0)
 
 
 class TestExpectedCount:
@@ -260,11 +266,11 @@ class TestEvaluateAll:
             train = train - offset
             fit = fit_mle(train, spec.train_days)
             assert row.predicted == expected_count(
-                HawkesParams(**fit.params), train, spec.train_days, spec.horizon_days)
+                HawkesParams(**fit.params), train, spec.train_days, HORIZON_DAYS)
 
-    def test_arima_lite_credits_a_fractional_last_day_pro_rata(self):
+    def test_arima_lite_sums_the_test_windows_daily_levels(self):
         clusters = corpus_clusters()
-        spec = default_split(150.0, train_days=60.0, horizon_days=3.5)
+        spec = default_split(150.0, train_days=60.0)
         table = evaluate_all(clusters, spec, ["arima_lite"])
         offset = spec.split_point - spec.train_days
         assert [r.cluster_id for r in table.rows] == [c.cluster_id for c in clusters]
@@ -273,10 +279,9 @@ class TestEvaluateAll:
             days = np.clip(np.floor(train).astype(int), 0, 59)
             counts = np.bincount(days, minlength=60).astype(float)
             levels = baselines.forecast_arima(baselines.fit_arima_lite(counts).params,
-                                              counts, 4)
+                                              counts, 14)
             assert row.status == "ok"
-            assert row.predicted == max(float(np.sum(levels[:3])) + 0.5 * float(levels[3]),
-                                        0.0)
+            assert row.predicted == max(float(np.sum(levels)), 0.0)
 
     def test_rows_carry_the_fits_optimizer_route(self):
         clusters = corpus_clusters()
@@ -344,7 +349,7 @@ class TestEvaluateAll:
                        for k, t in enumerate(times))
         cluster = GenreCluster(0, frozenset({"x"}),
                                EventStream(0.0, events, 74.0))
-        table = evaluate_all([cluster], SplitSpec(30.0, 60.0, 14.0),
+        table = evaluate_all([cluster], SplitSpec(30.0, 60.0),
                              ["hawkes", "poisson"])
         status = {r.model: r.status for r in table.rows}
         assert status == {"hawkes": "failed", "poisson": "ok"}
@@ -359,7 +364,7 @@ class TestEvaluateAll:
         events = tuple(Event(f"v{k:02d}", float(t), "u", frozenset({"x"}), 0, 0)
                        for k, t in enumerate(times))
         cluster = GenreCluster(0, frozenset({"x"}), EventStream(0.0, events, 44.0))
-        table = evaluate_all([cluster], SplitSpec(30.0, 30.0, 14.0), ["hawkes"])
+        table = evaluate_all([cluster], SplitSpec(30.0, 30.0), ["hawkes"])
         row = table.rows[0]
         assert row.status == "refused"
         assert "supercritical" in row.note
@@ -372,7 +377,7 @@ class TestEvaluateAll:
         events = tuple(Event(f"v{k}", float(t), "u", frozenset({"x"}), 0, 0)
                        for k, t in enumerate(times))
         cluster = GenreCluster(5, frozenset({"x"}), EventStream(0.0, events, 74.0))
-        table = evaluate_all([cluster], SplitSpec(30.0, 60.0, 14.0), ["poisson"])
+        table = evaluate_all([cluster], SplitSpec(30.0, 60.0), ["poisson"])
         assert table.rows == ()
         assert len(table.exclusions) == 1
         assert table.exclusions[0][0] == 5

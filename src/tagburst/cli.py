@@ -52,13 +52,20 @@ def _artifact_errors(path: Path, produced_by: str):
 
 def _load_artifact(path: Path, produced_by: str,
                    clusters: Sequence[GenreCluster] | None = None) -> dict:
-    """Decode the JSON artifact at path.  Given clusters, refuse it when its
-    {cluster_id, n_events} entries under "clusters" are not those clusters
-    and their event counts."""
+    """Decode the JSON artifact at path.  Given clusters, refuse it as
+    _check_counts does."""
     with _artifact_errors(path, produced_by):
         doc = json.loads(path.read_text())
-        if clusters is None:
-            return doc
+    if clusters is not None:
+        _check_counts(path, produced_by, doc, clusters)
+    return doc
+
+
+def _check_counts(path: Path, produced_by: str, doc: dict,
+                  clusters: Sequence[GenreCluster]) -> None:
+    """Refuse the artifact doc read from path when its {cluster_id, n_events}
+    entries under "clusters" are not those clusters and their event counts."""
+    with _artifact_errors(path, produced_by):
         stored = {e["cluster_id"]: e["n_events"] for e in doc["clusters"]}
     current = {c.cluster_id: len(c.events) for c in clusters}
     if stored != current:
@@ -66,12 +73,12 @@ def _load_artifact(path: Path, produced_by: str,
         raise ValueError(f"{path}: stale (cluster {cid}: {current.get(cid, 0)} events "
                          f"clustered, {stored.get(cid, 0)} in {path.name}); "
                          f"rerun 'tagburst {produced_by}'")
-    return doc
 
 
 def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
     """Rebuild GenreClusters from the input events plus the cluster artifacts;
-    refuses a clusters.json whose cluster ids are not those of assignments.csv."""
+    refuses a clusters.json whose cluster ids are not those of assignments.csv
+    or whose event counts are not those of the rebuilt clusters."""
     out = Path(args.out)
     stream = parse_events(args.input)
     meta_path, assign_path = out / "clusters.json", out / "assignments.csv"
@@ -98,6 +105,7 @@ def _load_clusters(args) -> tuple[object, list[GenreCluster], dict]:
         GenreCluster(cluster_id=cid, tags=tags[cid],
                      events=type(stream)(stream.origin, tuple(evs), stream.horizon_T))
         for cid, evs in sorted(members.items())]
+    _check_counts(meta_path, "cluster", meta, clusters)
     return stream, clusters, meta
 
 
@@ -120,8 +128,7 @@ def _load_fits(out: Path, clusters: Sequence[GenreCluster]) \
 
 def cmd_simulate(args) -> int:
     out = Path(args.out)
-    stream, truth = simulate.make_synthetic_corpus(
-        simulate.default_corpus_spec(), T=args.t_days, seed=args.seed)
+    stream, truth = simulate.make_synthetic_corpus(T=args.t_days, seed=args.seed)
     write_events(stream, out / "events.jsonl")
     _write_json(out / "ground_truth.json", truth)
     print(f"wrote {out / 'events.jsonl'} ({len(stream)} events) and ground_truth.json")
@@ -196,6 +203,10 @@ def cmd_forecast(args) -> int:
     stream, clusters, _ = _load_clusters(args)
     spec = forecast.default_split(stream.horizon_T, args.train_days)
     table = forecast.evaluate_all(clusters, spec, models)
+    if not table.rows:
+        cid, reason = table.exclusions[0]
+        raise ValueError(f"no cluster scored, {len(table.exclusions)} excluded "
+                         f"(cluster {cid}: {reason})")
 
     header = ["cluster_id", "model", "train_days", "horizon_days", "loglik", "aic",
               "predicted", "actual", "abs_error", "rel_error", "status", "note"]

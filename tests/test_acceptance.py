@@ -27,7 +27,7 @@ from tagburst.forecast import (HORIZON_DAYS, SplitSpec, expected_count, holdout_
 from tagburst.hawkes import (FitResult, HawkesParams, fit_mle, log_likelihood,
                              log_likelihood_gradient, rescaled_residuals)
 from tagburst.ingest import Event, EventStream
-from tagburst.simulate import SimConfig, default_corpus_spec, derive_seed, make_synthetic_corpus, simulate_hawkes
+from tagburst.simulate import derive_seed, make_synthetic_corpus, simulate_hawkes
 from tagburst.taggraph import (GenreCluster, TagGraph, build_affinity_graph,
                                connected_components, extract_clusters, prune_graph)
 
@@ -95,7 +95,7 @@ def test_03_mle_recovers_generating_parameters():
     start = time.perf_counter()
     errs = {"mu": [], "beta": [], "omega": []}
     for seed in range(10):
-        times = simulate_hawkes(true, SimConfig(seed=seed, t_start=0.0, t_end=3333.0))
+        times = simulate_hawkes(true, 3333.0, seed)
         fit = fit_mle(times, 3333.0)
         for key, v in (("mu", true.mu), ("beta", true.beta), ("omega", true.omega)):
             errs[key].append(abs(fit.params[key] - v) / v)
@@ -113,7 +113,7 @@ def test_04_aic_prefers_the_generating_model_family():
     hawkes_wins = 0
     min_n = 10 ** 9
     for seed in range(100):
-        times = simulate_hawkes(p, SimConfig(seed=seed, t_start=0.0, t_end=1000.0))
+        times = simulate_hawkes(p, 1000.0, seed)
         min_n = min(min_n, times.size)
         if fit_mle(times, 1000.0).aic < fit_poisson(times, 1000.0).aic:
             hawkes_wins += 1
@@ -171,7 +171,7 @@ def test_05_attribution_normalization_oracle_and_exact_sum():
         worst_score = max(worst_score, abs(shares.s_self - oracle_self),
                           abs(shares.s_pop - oracle_pop))
 
-    stream, _ = make_synthetic_corpus(default_corpus_spec(), T=150.0, seed=2)
+    stream, _ = make_synthetic_corpus(T=150.0, seed=2)
     clusters = extract_clusters(stream, 2)
     fits = {c.cluster_id: fit_mle(c.events.times, c.events.horizon_T)
             for c in clusters}
@@ -247,8 +247,7 @@ def test_08_per_cluster_fits_beat_one_shared_fit():
     for seed in range(20):
         splits = []
         for idx, p in enumerate(params):
-            stream = simulate_hawkes(p, SimConfig(
-                seed=derive_seed(seed, idx), t_start=0.0, t_end=T))
+            stream = simulate_hawkes(p, T, derive_seed(seed, idx))
             train, test = split_stream(stream, spec)
             splits.append((train - offset, test - offset))
         pooled = np.sort(np.concatenate([tr for tr, _ in splits]))
@@ -285,7 +284,7 @@ def test_09_rescaled_residuals_pass_ks_against_unit_exponential():
     p = HawkesParams(0.5, 0.8, 1.2)
     passes = 0
     for seed in range(100):
-        times = simulate_hawkes(p, SimConfig(seed=seed, t_start=0.0, t_end=600.0))
+        times = simulate_hawkes(p, 600.0, seed)
         if stats.kstest(rescaled_residuals(p, times), "expon").pvalue >= 0.01:
             passes += 1
     report(9, passes >= 90, f"KS at alpha=0.01: {passes}/100 streams pass (need 90)")

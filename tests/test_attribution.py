@@ -7,7 +7,7 @@ from oracles import brute_attribution, uploader_mean_thresholds
 from tagburst.attribution import AttributionReport, _pair_sums, attribution_report
 from tagburst.hawkes import FitResult, HawkesParams, fit_mle
 from tagburst.ingest import Event, EventStream
-from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
+from tagburst.simulate import make_synthetic_corpus
 from tagburst.taggraph import GenreCluster, extract_clusters
 
 P = HawkesParams(mu=0.5, beta=1.0, omega=2.0)
@@ -173,7 +173,7 @@ def fits_for(clusters):
 
 class TestReport:
     def synthetic_clusters(self):
-        stream, _ = make_synthetic_corpus(default_corpus_spec(), T=150.0, seed=3)
+        stream, _ = make_synthetic_corpus(T=150.0, seed=3)
         return extract_clusters(stream, 2)
 
     def test_shares_sum_to_one_exactly(self):

@@ -19,7 +19,7 @@ from tagburst.baselines import (_css_fit_one, _css_objective, _css_residuals, _d
 from tagburst.forecast import (POOLED_CLUSTER_ID, default_split, evaluate_all,
                                expected_count)
 from tagburst.hawkes import HawkesParams, fit_mle, log_likelihood
-from tagburst.simulate import SimConfig, simulate_hawkes
+from tagburst.simulate import simulate_hawkes
 from tagburst.taggraph import extract_clusters
 from tagburst.ingest import Event, EventStream
 
@@ -140,8 +140,7 @@ class TestDrift:
     def test_recovers_rising_rate(self):
         slopes, intercepts = [], []
         for seed in range(8):
-            cfg = SimConfig(seed=seed, t_start=0.0, t_end=100.0)
-            times = simulate_nhpp(lambda t: 0.5 + 0.05 * t, 5.5, cfg)
+            times = simulate_nhpp(lambda t: 0.5 + 0.05 * t, 5.5, 100.0, seed)
             fit = fit_nhpp_drift(times, 100.0)
             assert fit.converged
             slopes.append(fit.params["mu_slope"])
@@ -164,10 +163,8 @@ class TestGlobalPooled:
         # evaluate_all's hawkes_global row is fit_mle on the pooled training window
         tagged = []
         t_by_cluster = {
-            "a": simulate_hawkes(HawkesParams(0.5, 0.4, 1.0),
-                                 SimConfig(seed=1, t_start=0.0, t_end=200.0)),
-            "b": simulate_hawkes(HawkesParams(0.8, 0.3, 2.0),
-                                 SimConfig(seed=2, t_start=0.0, t_end=200.0)),
+            "a": simulate_hawkes(HawkesParams(0.5, 0.4, 1.0), 200.0, 1),
+            "b": simulate_hawkes(HawkesParams(0.8, 0.3, 2.0), 200.0, 2),
         }
         events = []
         k = 0

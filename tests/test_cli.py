@@ -204,6 +204,21 @@ class TestFit:
         assert capsys.readouterr().err == \
             f"error: {path}: lacks video {video!r}; rerun 'tagburst cluster'\n"
 
+    def test_events_dropped_after_cluster_are_stale(self, corpus, capsys):
+        clustered(corpus)
+        events = corpus / "events.jsonl"
+        lines = events.read_text().splitlines(keepends=True)
+        events.write_text("".join(l for l in lines if "metal" not in json.loads(l)["tags"]))
+        metal = next(c for c in read_json(corpus / "clusters.json")["clusters"]
+                     if "metal" in c["tags"])
+        capsys.readouterr()
+        assert run("fit", "--input", str(events), "--out", str(corpus)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'clusters.json'}: stale (cluster {metal['cluster_id']}: "
+            f"0 events clustered, {metal['n_events']} in clusters.json); "
+            "rerun 'tagburst cluster'\n")
+        assert not (corpus / "fits.json").exists()
+
     def test_writes_both_models_per_cluster(self, corpus):
         fitted(corpus)
         doc = read_json(corpus / "fits.json")
@@ -362,13 +377,32 @@ class TestForecast:
         assert not (out / "forecast.csv").exists()
 
     def test_excluded_clusters_are_counted(self, corpus, capsys):
+        # two uploads on tags of their own, both inside the 14-day test window
+        events = corpus / "events.jsonl"
+        records = [json.loads(line) for line in events.read_text().splitlines()]
+        end = max(r["ts"] for r in records)
+        records += [{"video_id": f"late{k}", "ts": end - 86400.0 * (k + 1),
+                     "uploader_id": "late_uploader", "tags": ["x", "y"], "views": 1,
+                     "comments": 0} for k in range(2)]
+        events.write_text("".join(json.dumps(r) + "\n" for r in records))
+        clustered(corpus)
+        capsys.readouterr()
+        assert run("forecast", "--input", str(events), "--out", str(corpus),
+                   "--train-days", "60", "--models", "poisson") == 0
+        assert capsys.readouterr().out == \
+            f"wrote {corpus / 'forecast.csv'} (3 rows, 1 excluded)\n"
+        assert len(read_json(corpus / "forecast.json")["exclusions"]) == 1
+
+    def test_scoring_no_cluster_fails_and_writes_nothing(self, corpus, capsys):
         clustered(corpus)
         capsys.readouterr()
         assert run("forecast", "--input", str(corpus / "events.jsonl"), "--out", str(corpus),
-                   "--train-days", "1e-300") == 0
-        assert capsys.readouterr().out == \
-            f"wrote {corpus / 'forecast.csv'} (0 rows, 3 excluded)\n"
-        assert len(read_json(corpus / "forecast.json")["exclusions"]) == 3
+                   "--train-days", "1e-300") == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: no cluster scored, 3 excluded \(cluster 0: "
+                            r"empty training window \[[0-9.e+-]+, [0-9.e+-]+\]\)\n", err)
+        assert not (corpus / "forecast.csv").exists()
+        assert not (corpus / "forecast.json").exists()
 
     @pytest.mark.parametrize("flags, named", [
         ((), "--train-days"), (("--train-days", "60", "--models", ","), "--models"),
@@ -436,13 +470,19 @@ class TestReport:
 
     @staticmethod
     def move_first_video(corpus):
-        """Move the first video to the next cluster, as a rerun of cluster may."""
+        """Move the first video to the next cluster in assignments.csv and
+        clusters.json's event counts, as a rerun of cluster may."""
         path = corpus / "assignments.csv"
         rows = read_csv(path)
         n_clusters = len({r["cluster_id"] for r in rows})
-        rows[0]["cluster_id"] = str((int(rows[0]["cluster_id"]) + 1) % n_clusters)
+        source = int(rows[0]["cluster_id"])
+        rows[0]["cluster_id"] = str((source + 1) % n_clusters)
         path.write_text("video_id,cluster_id\n" +
                         "".join(f"{r['video_id']},{r['cluster_id']}\n" for r in rows))
+        meta = read_json(corpus / "clusters.json")
+        for c in meta["clusters"]:
+            c["n_events"] += {source: -1, (source + 1) % n_clusters: 1}.get(c["cluster_id"], 0)
+        _write_json(corpus / "clusters.json", meta)
 
     @pytest.mark.parametrize("stage", ["attribute", "report"])
     def test_fits_of_other_clusters_are_stale(self, corpus, capsys, stage):

@@ -15,7 +15,7 @@ from tagburst.forecast import (HORIZON_DAYS, POOLED_CLUSTER_ID, SplitSpec, defau
                                holdout_log_likelihood, split_stream)
 from tagburst.hawkes import HawkesParams, fit_mle
 from tagburst.ingest import Event, EventStream
-from tagburst.simulate import default_corpus_spec, make_synthetic_corpus
+from tagburst.simulate import make_synthetic_corpus
 from tagburst.taggraph import GenreCluster, extract_clusters
 
 P = HawkesParams(mu=0.5, beta=1.0, omega=2.0)
@@ -232,7 +232,7 @@ class TestForecastResult:
 
 
 def corpus_clusters(T=150.0, seed=3):
-    stream, _ = make_synthetic_corpus(default_corpus_spec(), T=T, seed=seed)
+    stream, _ = make_synthetic_corpus(T=T, seed=seed)
     return extract_clusters(stream, 2)
 
 

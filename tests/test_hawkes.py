@@ -16,7 +16,7 @@ from tagburst.hawkes import (FitResult, HawkesParams, _decay_state, _excitation,
                              fit_mle, fit_result_from_dict, fit_result_to_dict, log_likelihood,
                              log_likelihood_gradient, rescaled_residuals)
 from tagburst.ingest import parse_events, write_events
-from tagburst.simulate import SimConfig, default_corpus_spec, make_synthetic_corpus, simulate_hawkes
+from tagburst.simulate import make_synthetic_corpus, simulate_hawkes
 from tagburst.taggraph import extract_clusters
 
 P = HawkesParams(mu=0.5, beta=1.0, omega=2.0)
@@ -60,7 +60,7 @@ class TestParams:
 
 
 class TestIntensity:
-    """mu + _excitation is the intensity the forecast and the simulator start from."""
+    """mu + _excitation is the intensity the forecast starts from."""
 
     def test_worked_example(self):
         for lam in (P.mu + _excitation(P, np.array([1.0]), 1.5),
@@ -212,8 +212,7 @@ class TestGradient:
             np.testing.assert_allclose(grad, num, rtol=1e-5)
 
     def test_gradient_near_zero_at_interior_mle(self):
-        cfg = SimConfig(seed=202, t_start=0.0, t_end=400.0)
-        times = simulate_hawkes(HawkesParams(0.5, 0.8, 1.2), cfg)
+        times = simulate_hawkes(HawkesParams(0.5, 0.8, 1.2), 400.0, 202)
         fit = fit_mle(times, 400.0)
         p = HawkesParams(**fit.params)
         grad = log_likelihood_gradient(p, times, 400.0)
@@ -259,8 +258,7 @@ class TestFit:
 
     def test_recovers_parameters_roughly(self):
         true = HawkesParams(0.5, 0.8, 1.2)
-        cfg = SimConfig(seed=99, t_start=0.0, t_end=2000.0)
-        times = simulate_hawkes(true, cfg)
+        times = simulate_hawkes(true, 2000.0, 99)
         fit = fit_mle(times, 2000.0)
         assert fit.converged
         assert fit.params["mu"] == pytest.approx(true.mu, rel=0.25)
@@ -269,8 +267,7 @@ class TestFit:
 
     def test_fitted_likelihood_beats_truth(self):
         true = HawkesParams(1.0, 0.5, 1.5)
-        cfg = SimConfig(seed=7, t_start=0.0, t_end=300.0)
-        times = simulate_hawkes(true, cfg)
+        times = simulate_hawkes(true, 300.0, 7)
         fit = fit_mle(times, 300.0)
         assert fit.log_likelihood >= log_likelihood(true, times, 300.0) - 1e-9
 
@@ -279,7 +276,7 @@ class TestFit:
         # Nelder-Mead restart reaches -129.470 (beta ~ 2.02, omega ~ 95.2)
         p = HawkesParams(mu=0.10520315032328138, beta=5.643884733962391,
                          omega=186.71655854338468)
-        times = simulate_hawkes(p, SimConfig(seed=3, t_start=0.0, t_end=365.0))
+        times = simulate_hawkes(p, 365.0, 3)
         assert times.size == 41
         assert fit_mle(times, 365.0).log_likelihood > -129.5
 
@@ -295,8 +292,7 @@ class TestFit:
         assert fr.aic == 2 * 3 - 2 * (-10.0)
 
     def test_fit_reports_metadata(self):
-        cfg = SimConfig(seed=5, t_start=0.0, t_end=500.0)
-        times = simulate_hawkes(HawkesParams(0.4, 0.6, 1.0), cfg)
+        times = simulate_hawkes(HawkesParams(0.4, 0.6, 1.0), 500.0, 5)
         fit = fit_mle(times, 500.0)
         assert fit.model == "hawkes"
         assert fit.n_params == 3
@@ -308,13 +304,12 @@ def stalled_line_search_stream():
     """41 events on which L-BFGS-B stalls and Nelder-Mead takes over."""
     p = HawkesParams(mu=0.10520315032328138, beta=5.643884733962391,
                      omega=186.71655854338468)
-    return simulate_hawkes(p, SimConfig(seed=3, t_start=0.0, t_end=365.0))
+    return simulate_hawkes(p, 365.0, 3)
 
 
 def hawkes_stream(seed):
     """About 150 events of a subcritical process over 100 days."""
-    return simulate_hawkes(HawkesParams(0.5, 0.8, 1.2),
-                           SimConfig(seed=seed, t_start=0.0, t_end=100.0))
+    return simulate_hawkes(HawkesParams(0.5, 0.8, 1.2), 100.0, seed)
 
 
 INTERIOR_STALL_SEED = 9  # hawkes_stream(9): L-BFGS-B stops short of GRAD_TOL inside the box
@@ -432,7 +427,7 @@ def readme_drift_windows(tmp_path):
     """The README run's drift training windows: the corpus of simulate
     --seed 0 --t-days 120, written and parsed as the CLI does, clustered at
     eta 2 and split with --train-days 60."""
-    stream, _ = make_synthetic_corpus(default_corpus_spec(), T=120.0, seed=0)
+    stream, _ = make_synthetic_corpus(T=120.0, seed=0)
     write_events(stream, tmp_path / "events.jsonl")
     stream = parse_events(tmp_path / "events.jsonl")
     spec = default_split(stream.horizon_T, 60.0)

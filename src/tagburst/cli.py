@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import attribution, baselines, forecast, simulate, taggraph
-from .hawkes import (FitResult, _check_positive, _params_from_fit, fit_mle,
+from .hawkes import (FitResult, _check_positive, _json_typed, _params_from_fit, fit_mle,
                      fit_result_from_dict, fit_result_to_dict)
 from .ingest import _atomic_write_text, _write_csv, parse_events, write_events
 from .taggraph import GenreCluster
@@ -236,9 +236,10 @@ def cmd_forecast(args) -> int:
 
 
 def _factor_rows(records: Sequence[dict]) -> list[list]:
-    """One (cluster_id, factor, value) row per share of each attributable record."""
+    """One (cluster_id, factor, value) row per share of each attributable record;
+    raises TypeError when a record's attributable is not a boolean."""
     return [[r["cluster_id"], factor, r[key]]
-            for r in records if r["attributable"]
+            for r in records if _json_typed(r, "attributable", bool)
             for factor, key in (("self", "s_self"), ("popularity", "s_pop"),
                                 ("exogenous", "s_exo"))]
 

@@ -105,14 +105,26 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 
 def fit_result_from_dict(d: Mapping[str, object]) -> FitResult:
-    """Inverse of fit_result_to_dict: every key it does not reserve is a parameter."""
+    """Inverse of fit_result_to_dict: every key it does not reserve is a parameter.
+    Raises TypeError when n_params, converged or n_iter has not the JSON type
+    fit_result_to_dict writes."""
     reserved = ("model", "loglik", "aic", "n_params", "converged", "n_iter",
                 "optimizer", "grad_max", "branching_ratio", "warnings")
     return FitResult(
         d["model"], {k: v for k, v in d.items() if k not in reserved}, float(d["loglik"]),
-        int(d["n_params"]), bool(d["converged"]), int(d["n_iter"]),
-        warnings=tuple(d.get("warnings", ())), optimizer=d.get("optimizer"),
-        grad_max=d.get("grad_max"))
+        _json_typed(d, "n_params", int), _json_typed(d, "converged", bool),
+        _json_typed(d, "n_iter", int), warnings=tuple(d.get("warnings", ())),
+        optimizer=d.get("optimizer"), grad_max=d.get("grad_max"))
+
+
+def _json_typed(d: Mapping[str, object], key: str, kind: type[bool] | type[int]):
+    """d[key], refused with TypeError unless its type is exactly kind, bool or
+    int (so a JSON true is no integer, and a string is no boolean)."""
+    value = d[key]
+    if type(value) is not kind:
+        name = "boolean" if kind is bool else "integer"
+        raise TypeError(f"{key!r} is not a JSON {name}: {value!r}")
+    return value
 
 
 def _params_from_fit(fit: FitResult) -> HawkesParams:

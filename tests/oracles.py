@@ -462,31 +462,28 @@ def _records_from_csv(path: Path) -> list[tuple[int, dict]]:
     return out
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
-            raise ValueError(f"unknown format {fmt!r}: expected 'jsonl' or 'csv'")
-        return fmt
+def _infer_format(path: Path) -> str:
     suffix = path.suffix.lower()
     if suffix in (".jsonl", ".json", ".ndjson"):
         return "jsonl"
     if suffix == ".csv":
         return "csv"
-    raise ValueError(f"cannot infer format from {path.name!r}; pass format='jsonl' or 'csv'")
+    raise ValueError(f"cannot infer format from {path.name!r}; "
+                     "expected .jsonl, .json, .ndjson or .csv")
 
 
-def reference_parse_events(path: str | Path, format: str | None = None,
-                 horizon_T: float | None = None) -> EventStream:
+def reference_parse_events(path: str | Path) -> EventStream:
     """Read upload records and normalize times to days since the earliest record.
 
+    The suffix names the format: JSON lines (.jsonl, .json, .ndjson) or CSV.
     Records need video_id, ts (ISO-8601 or epoch seconds), uploader_id, tags,
     views, and comments.  Events are sorted by (upload_time, video_id); the
-    horizon defaults to the last event time unless overridden.
+    horizon is the last event time.
     """
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such input file: {path}")
-    fmt = _infer_format(path, format)
+    fmt = _infer_format(path)
     raw = _records_from_jsonl(path) if fmt == "jsonl" else _records_from_csv(path)
     if not raw:
         raise ParseError(f"empty input file: {path}")
@@ -512,9 +509,5 @@ def reference_parse_events(path: str | Path, format: str | None = None,
         (Event(vid, (micros - base) / MICROS_PER_DAY, uploader, tags, views, comments)
          for vid, micros, uploader, tags, views, comments in parsed),
         key=lambda e: (e.upload_time, e.video_id)))
-    last = events[-1].upload_time
-    if horizon_T is None:
-        horizon_T = last
-    elif horizon_T < last:
-        raise ValueError(f"horizon_T={horizon_T} is before the last event at {last}")
-    return EventStream(origin=base / 1e6, events=events, horizon_T=float(horizon_T))
+    return EventStream(origin=base / 1e6, events=events,
+                       horizon_T=float(events[-1].upload_time))

@@ -581,11 +581,26 @@ class TestMalformedArtifacts:
         ("report", "clusters.json",
          lambda doc: doc["clusters"].append({**doc["clusters"][0], "cluster_id": 3}),
          "stale (cluster 3 is only in clusters.json); rerun 'tagburst cluster'\n"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][0]["hawkes"].update(converged="false"),
+         "malformed ('converged' is not a JSON boolean: 'false'); rerun 'tagburst fit'\n"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][0]["poisson"].update(n_params="1"),
+         "malformed ('n_params' is not a JSON integer: '1'); rerun 'tagburst fit'\n"),
+        ("report", "fits.json",
+         lambda doc: doc["clusters"][0]["hawkes"].update(n_iter=12.5),
+         "malformed ('n_iter' is not a JSON integer: 12.5); rerun 'tagburst fit'\n"),
+        ("report", "attribution.json",
+         lambda doc: doc["clusters"][1].update(attributable="false"),
+         "malformed ('attributable' is not a JSON boolean: 'false'); "
+         "rerun 'tagburst attribute'\n"),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
             "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
             "mu-not-a-number", "report-mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number",
             "assignments-row-without-cluster-id", "hawkes-without-beta",
-            "cluster-dropped-from-clusters", "extra-cluster-in-clusters"])
+            "cluster-dropped-from-clusters", "extra-cluster-in-clusters",
+            "converged-not-a-boolean", "n-params-not-an-integer", "n-iter-not-an-integer",
+            "attributable-not-a-boolean"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")
@@ -623,16 +638,19 @@ def readme_pipeline(out):
 class TestCsvInput:
     def test_csv_input_gives_the_jsonl_artifacts(self, tmp_path):
         """The README corpus written as events.csv gives every artifact of the
-        JSONL run byte for byte; report.json differs only in the input name it
+        JSONL run byte for byte, though its forecast, which refits its own
+        models, runs before fit; report.json differs only in the input name it
         records."""
         base = tmp_path / "jsonl"
         assert run("simulate", "--out", str(base), "--seed", "0", "--t-days", "120") == 0
         csv_events = tmp_path / "csv" / "events.csv"
         write_events(parse_events(base / "events.jsonl"), csv_events)
-        for events in (base / "events.jsonl", csv_events):
-            for stage, *flags in (["cluster", "--eta", "2", "--sweep", "1:4"], ["fit"],
-                                  ["forecast", "--train-days", "60"], ["attribute"],
-                                  ["report"]):
+        cluster = ["cluster", "--eta", "2", "--sweep", "1:4"]
+        forecast = ["forecast", "--train-days", "60", "--models",
+                    "arima_lite,hawkes,hawkes_global,nhpp_drift,pc_nhpp,poisson"]
+        for events, stages in ((base / "events.jsonl", [cluster, ["fit"], forecast]),
+                               (csv_events, [cluster, forecast, ["fit"]])):
+            for stage, *flags in [*stages, ["attribute"], ["report"]]:
                 assert run(stage, "--input", str(events), "--out", str(events.parent),
                            *flags) == 0, (events.name, stage)
         inputs_and_truth = {"events.jsonl", "ground_truth.json"}

@@ -1,33 +1,39 @@
-"""The Hawkes fit's likelihood maximizer: quasi-Newton ascent, a Newton
-polish, and a simplex for the points the polish cannot certify.
+"""The Hawkes fit's likelihood maximizer: projected Newton ascent on an
+analytic Hessian, and a simplex search where the Newton point may not be
+the best one.
 
-Parameters live in log space so positivity is structural.  The objective is
-``fun(x) -> (f, g)``: the negated value and its gradient, from one body.
-Each stage takes what it needs of that pair: L-BFGS-B both, the polish the
-gradients, Nelder-Mead the values.
+Parameters live in log space so positivity is structural, inside a box.  The
+objective is ``fun(x) -> (f, g, H)``: the negated value, its gradient and
+its Hessian, from one body.  Newton takes all three, Nelder-Mead the values.
 
-Every fit takes one of three routes, recorded in ``MaxResult.route``:
+Newton runs projected on the box (Bertsekas 1982, SIAM J. Control Optim.
+20:221).  A coordinate at a bound whose gradient points out of the box is
+held there; the others, the free block, take the step -H_free^{-1} g_free.
+Where H_free is not positive definite, a Levenberg shift
+tau = max|g_free| - lambda_min is added to its diagonal, which keeps the
+step along the worst direction near unit length.  An Armijo backtrack along
+the projected path clip(x + t d) sets the step length.  Newton stops once
+the free gradient's sup-norm is below GRAD_TOL and the Newton decrement
+g^T H^{-1} g is below GRAD_TOL**2, or when no step in the backtrack lowers
+f (or, where f is flat to rounding, the gradient's sup-norm).
 
-- ``lbfgsb``: L-BFGS-B stops with the gradient sup-norm below GRAD_TOL.
-- ``lbfgsb+newton``: L-BFGS-B stops short of GRAD_TOL (typically on the
-  relative reduction of f), and at most NEWTON_STEPS Newton steps finish the
-  job.  Each step solves with a Hessian taken from central differences of
-  the analytic gradient (h = HESS_STEP in log space, then symmetrized); it
-  is taken only when that Hessian is positive definite and f does not rise
-  by more than rounding.  Stepping goes on until the gradient sup-norm is
-  below POLISH_TOL.
-- ``lbfgsb+simplex``: the polish fails (indefinite Hessian, no descent, or
-  still not below GRAD_TOL), so Nelder-Mead restarts from the polish's
-  point.  On the measured corpora this happens on boundary fits (beta near
-  its floor) and on the stalled line search of
-  ``test_simplex_fallback_rescues_stalled_line_search``.
+Every fit takes one of two routes, recorded in ``MaxResult.route``:
 
-One convergence rule holds on every route: ``converged`` means the gradient
+- ``newton``: the Newton point, where the caller sees nothing to search.
+- ``newton+simplex``: Newton stops short of GRAD_TOL, or the caller's
+  ``unidentified(x)`` says the Newton point sits where a direction of the
+  surface is not identified, so it can have separate basins (a Hawkes fit
+  that comes out effectively Poisson leaves omega free).  Nelder-Mead runs
+  from the Newton point; where it ends lower in f, Newton runs again from
+  there.  The best point is kept.
+
+One convergence rule holds on both routes: ``converged`` means the gradient
 sup-norm at the returned point is below GRAD_TOL.
 
 ``scipy.optimize`` is loaded on first access to this module's ``minimize``
-attribute (PEP 562), so a stage that never fits never pays its import.
-Callers reach it through that attribute, so a wrapper set on it is used.
+attribute (PEP 562), so a stage whose fits all take route ``newton`` never
+pays its import.  Callers reach it through that attribute, so a wrapper set
+on it is used.
 """
 
 from __future__ import annotations
@@ -39,10 +45,9 @@ import numpy as np
 
 GRAD_TOL = 1e-6
 MAX_ITER = 500
-NEWTON_STEPS = 3
-HESS_STEP = 1e-6
-POLISH_TOL = 1e-10
-_RISE_TOL = 4.0 * sys.float_info.epsilon  # relative rise in f a Newton step may make
+_ARMIJO = 1e-4  # share of the first-order decrease a step must realise
+_BACKTRACKS = 30  # step halvings before the line search gives up
+_ROUNDING = 4.0 * sys.float_info.epsilon  # relative change in f lost to rounding
 
 
 def lazy_minimize(module_name: str) -> Callable[[str], object]:
@@ -71,53 +76,60 @@ class MaxResult(NamedTuple):
     grad_max: float
 
 
-def _newton_polish(fun, x: np.ndarray, f: float, g: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, int]:
-    """Up to NEWTON_STEPS safeguarded Newton steps on fun from (x, f, g);
-    returns the last accepted point, its value and gradient, and the steps taken."""
-    steps = 0
-    eye = np.eye(x.size) * HESS_STEP
-    while steps < NEWTON_STEPS and np.max(np.abs(g)) >= POLISH_TOL:
-        H = np.array([fun(x + e)[1] - fun(x - e)[1] for e in eye])
-        H = (H + H.T) / (4.0 * HESS_STEP)
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            break
-        x_new = np.clip(x - np.linalg.solve(H, g), lo, hi)
-        f_new, g_new = fun(x_new)
-        if not f_new <= f + _RISE_TOL * abs(f):
-            break
-        x, f, g = x_new, float(f_new), np.asarray(g_new)
-        steps += 1
-    return x, f, g, steps
+def _newton(fun, x: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """Projected Newton descent on fun from x; returns the last point, its
+    value and gradient, and the iterations taken."""
+    f, g, H = fun(x)
+    f = float(f)
+    for it in range(MAX_ITER):
+        free = ~(((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0)))
+        gf = g[free]
+        if not np.any(gf):
+            return x, f, g, it
+        w, V = np.linalg.eigh(H[np.ix_(free, free)])
+        shift = 0.0 if w[0] > 0 else float(np.max(np.abs(gf))) - w[0]
+        d = np.zeros_like(x)
+        d[free] = -V @ ((V.T @ gf) / (w + shift))
+        if np.max(np.abs(gf)) < GRAD_TOL and -float(g @ d) < GRAD_TOL ** 2:
+            return x, f, g, it
+        t = 1.0
+        for _ in range(_BACKTRACKS):
+            x_new = np.clip(x + t * d, lo, hi)
+            f_new, g_new, H_new = fun(x_new)
+            if f_new < f and f_new <= f + _ARMIJO * float(g @ (x_new - x)):
+                break
+            # where f is flat to rounding, a smaller gradient is the progress
+            if f_new <= f + _ROUNDING * abs(f) and np.max(np.abs(g_new)) < np.max(np.abs(g)):
+                break
+            t *= 0.5
+        else:
+            return x, f, g, it
+        x, f, g, H = x_new, float(f_new), np.asarray(g_new), np.asarray(H_new)
+    return x, f, g, MAX_ITER
 
 
-def maximize(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+def maximize(fun: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
              x0: Sequence[float],
-             bounds: Sequence[tuple[float, float]] | None = None) -> MaxResult:
-    """Maximize the objective whose negation and gradient ``fun(x)`` returns."""
-    minimize = _module.minimize
-    x0 = np.asarray(x0, dtype=float)
-    res = minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                   options={"maxiter": MAX_ITER, "ftol": 1e-12, "gtol": GRAD_TOL})
-    x, best, g, n_iter = np.asarray(res.x), float(res.fun), np.asarray(res.jac), int(res.nit)
-    route = "lbfgsb"
+             bounds: Sequence[tuple[float, float]] | None = None,
+             unidentified: Callable[[np.ndarray], bool] | None = None) -> MaxResult:
+    """Maximize the objective whose negation, gradient and Hessian ``fun(x)``
+    returns; ``unidentified(x)`` asks for the simplex search at a Newton
+    point that reaches GRAD_TOL."""
+    lo, hi = np.array(bounds, dtype=float).T if bounds else (-np.inf, np.inf)
+    x, best, g, n_iter = _newton(fun, np.asarray(x0, dtype=float), lo, hi)
+    route = "newton"
 
-    if np.max(np.abs(g)) >= GRAD_TOL:
-        lo, hi = np.array(bounds, dtype=float).T if bounds else (-np.inf, np.inf)
-        x, best, g, steps = _newton_polish(fun, x, best, g, lo, hi)
-        n_iter += steps
-        route = "lbfgsb+newton"
-        if np.max(np.abs(g)) >= GRAD_TOL:
-            route = "lbfgsb+simplex"
-            res2 = minimize(lambda v: fun(v)[0], x, method="Nelder-Mead",
-                            bounds=bounds,
-                            options={"maxiter": MAX_ITER, "xatol": 1e-10, "fatol": 1e-12})
-            n_iter += int(res2.nit)
-            if res2.fun <= best:
-                x, best = np.asarray(res2.x), float(res2.fun)
-                g = np.asarray(fun(x)[1])
+    if np.max(np.abs(g)) >= GRAD_TOL or (unidentified is not None and unidentified(x)):
+        route = "newton+simplex"
+        res = _module.minimize(lambda v: fun(v)[0], x, method="Nelder-Mead", bounds=bounds,
+                               options={"maxiter": MAX_ITER, "xatol": 1e-10, "fatol": 1e-12})
+        n_iter += int(res.nit)
+        if res.fun < best:
+            x2, best2, g2, steps = _newton(fun, np.asarray(res.x), lo, hi)
+            n_iter += steps
+            if best2 <= best:
+                x, best, g = x2, best2, g2
 
     grad_max = float(np.max(np.abs(g)))
     return MaxResult(x, -best, grad_max < GRAD_TOL, n_iter, route, grad_max)

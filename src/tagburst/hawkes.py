@@ -106,24 +106,43 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 def fit_result_from_dict(d: Mapping[str, object]) -> FitResult:
     """Inverse of fit_result_to_dict: every key it does not reserve is a parameter.
-    Raises TypeError when n_params, converged or n_iter has not the JSON type
-    fit_result_to_dict writes."""
+    Raises TypeError when a field has not the JSON type fit_result_to_dict
+    writes: loglik a number, n_params and n_iter integers, converged a
+    boolean, warnings a list of strings, and each parameter a number or a
+    list of numbers."""
     reserved = ("model", "loglik", "aic", "n_params", "converged", "n_iter",
                 "optimizer", "grad_max", "branching_ratio", "warnings")
+    params = {k: v for k, v in d.items() if k not in reserved}
+    for key, value in params.items():
+        if not (_is_json(value, float) or
+                type(value) is list and all(_is_json(v, float) for v in value)):
+            raise TypeError(f"parameter {key!r} is not a JSON number or list of numbers: "
+                            f"{value!r}")
+    warnings = d.get("warnings", [])
+    if type(warnings) is not list or not all(_is_json(w, str) for w in warnings):
+        raise TypeError(f"'warnings' is not a JSON list of strings: {warnings!r}")
     return FitResult(
-        d["model"], {k: v for k, v in d.items() if k not in reserved}, float(d["loglik"]),
+        d["model"], params, float(_json_typed(d, "loglik", float)),
         _json_typed(d, "n_params", int), _json_typed(d, "converged", bool),
-        _json_typed(d, "n_iter", int), warnings=tuple(d.get("warnings", ())),
+        _json_typed(d, "n_iter", int), warnings=tuple(warnings),
         optimizer=d.get("optimizer"), grad_max=d.get("grad_max"))
 
 
-def _json_typed(d: Mapping[str, object], key: str, kind: type[bool] | type[int]):
-    """d[key], refused with TypeError unless its type is exactly kind, bool or
-    int (so a JSON true is no integer, and a string is no boolean)."""
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number"}
+
+
+def _is_json(value: object, kind: type) -> bool:
+    """Whether value has exactly the Python type json.loads gives a JSON
+    value of kind: float takes any number, int only an integer, and a JSON
+    true is neither."""
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _json_typed(d: Mapping[str, object], key: str, kind: type[bool] | type[int] | type[float]):
+    """d[key], refused with TypeError unless _is_json(d[key], kind)."""
     value = d[key]
-    if type(value) is not kind:
-        name = "boolean" if kind is bool else "integer"
-        raise TypeError(f"{key!r} is not a JSON {name}: {value!r}")
+    if not _is_json(value, kind):
+        raise TypeError(f"{key!r} is not a JSON {_JSON_NAMES[kind]}: {value!r}")
     return value
 
 
@@ -158,26 +177,34 @@ def _check_times(times: Sequence[float], T: float | None = None) -> np.ndarray:
     return times
 
 
-def _decay_state(times: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """decay_sums A_i and B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega."""
+def _decay_state(times: np.ndarray,
+                 omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decay_sums A_i, B_i = sum_{j<i} (t_i-t_j) exp(-omega (t_i-t_j)) = -dA_i/domega,
+    and C_i = sum_{j<i} (t_i-t_j)^2 exp(-omega (t_i-t_j)) = -dB_i/domega."""
     n = times.size
     A = np.zeros(n)
     B = np.zeros(n)
+    C = np.zeros(n)
     ts = times.tolist()
     exp = math.exp
-    av, bv = memoryview(A), memoryview(B)  # float stores without numpy's __setitem__
-    a = b = 0.0
+    # float stores without numpy's __setitem__
+    av, bv, cv = memoryview(A), memoryview(B), memoryview(C)
+    a = b = c = 0.0
     prev = ts[0] if n else 0.0
     for i in range(1, n):
         t = ts[i]
         d = t - prev
         prev = t
         r = exp(-omega * d)
-        b = r * (b + d * (a + 1.0))  # uses the previous a
-        a = r * (a + 1.0)
+        a1 = a + 1.0
+        da1 = d * a1
+        c = r * (c + d * (2.0 * b + da1))  # uses the previous a and b
+        b = r * (b + da1)  # uses the previous a
+        a = r * a1
         av[i] = a
         bv[i] = b
-    return A, B
+        cv[i] = c
+    return A, B, C
 
 
 def decay_sums(times: np.ndarray, omega: float) -> np.ndarray:
@@ -191,9 +218,10 @@ def _excitation(p: HawkesParams, history: np.ndarray, t: float) -> float:
 
 
 def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
-                     T: float) -> tuple[float, np.ndarray]:
-    """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega)."""
-    A, B = _decay_state(times, omega)
+                     T: float, hessian: bool = False):
+    """Log-likelihood over [0, T] and its gradient wrt (mu, beta, omega); with
+    hessian, also its Hessian."""
+    A, B, C = _decay_state(times, omega)
     lam = mu + beta * A
     tail = T - times
     s0 = float(np.sum(-np.expm1(-omega * tail)))
@@ -201,13 +229,28 @@ def _loglik_and_grad(mu: float, beta: float, omega: float, times: np.ndarray,
     inv = 1.0 / lam
     expd = np.exp(-omega * tail)
     s1 = float(np.sum(tail * expd))
+    b_inv = B * inv
+    sum_b_inv = float(np.sum(b_inv))
     d_mu = float(np.sum(inv)) - T
     d_beta = float(np.sum(A * inv)) - s0 / omega
     # numpy's power gives inf or 0 where a float's raises, so no finite omega
     # makes the value fail for the sake of its gradient
-    d_omega = -beta * float(np.sum(B * inv)) + beta * s0 / np.float64(omega) ** 2 \
-        - (beta / omega) * s1
-    return ll, np.array([d_mu, d_beta, d_omega])
+    d_omega = -beta * sum_b_inv + beta * s0 / np.float64(omega) ** 2 - (beta / omega) * s1
+    grad = np.array([d_mu, d_beta, d_omega])
+    if not hessian:
+        return ll, grad
+    # s0 and s1 differentiate to s1 and -s2 in omega, A and B to -B and -C;
+    # one product gives the sums over events of u_k u_l, u = (1, A, B) / lam
+    u = np.array([inv, A * inv, b_inv])
+    m = u @ u.T
+    s2 = float(tail @ (tail * expd))
+    h_bo = -sum_b_inv + beta * m[1, 2] - s1 / omega + s0 / omega ** 2
+    h_oo = (beta * float(C @ inv) - beta * beta * m[2, 2]
+            + beta * (s2 / omega + 2.0 * s1 / omega ** 2 - 2.0 * s0 / omega ** 3))
+    hess = np.array([[-m[0, 0], -m[0, 1], beta * m[0, 2]],
+                     [-m[0, 1], -m[1, 1], h_bo],
+                     [beta * m[0, 2], h_bo, h_oo]])
+    return ll, grad, hess
 
 
 def log_likelihood(p: HawkesParams, times: Sequence[float], T: float) -> float:
@@ -223,22 +266,27 @@ def log_likelihood_gradient(p: HawkesParams, times: Sequence[float], T: float) -
     return _loglik_and_grad(p.mu, p.beta, p.omega, times, T)[1]
 
 
-def _neg_ll_and_grad(x: np.ndarray, times: np.ndarray,
-                     T: float) -> tuple[float, np.ndarray]:
-    """The fit objective in log space: (-ll, -gradient)."""
+def _neg_ll_grad_hess(x: np.ndarray, times: np.ndarray,
+                      T: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The fit objective in log space: (-ll, -gradient, -Hessian)."""
     theta = np.exp(x)
     # Python floats, not numpy scalars, keep _decay_state's loop fast
-    ll, g = _loglik_and_grad(*theta.tolist(), times, T)
+    ll, g, H = _loglik_and_grad(*theta.tolist(), times, T, hessian=True)
     # chain rule onto log-parameters
-    return -ll, -g * theta
+    return -ll, -g * theta, -(H * np.outer(theta, theta) + np.diag(g * theta))
+
+
+def _effectively_poisson(mu: float, beta: float) -> bool:
+    return beta < _POISSON_BETA_RATIO * mu
 
 
 def fit_mle(times: Sequence[float], T: float) -> FitResult:
     """Maximum-likelihood fit of (mu, beta, omega) on event times in [0, T].
 
-    Ascends in log space with analytic gradients (see _optim for the Newton
-    polish and the simplex fallback).  Needs at least 5 events and a
-    positive time span.
+    Ascends in log space by Newton on the analytic Hessian; a fit that comes
+    out effectively Poisson leaves omega unidentified, so the simplex searches
+    from there too (see _optim).  Needs at least 5 events and a positive
+    time span.
     """
     times = _check_times(times, T)
     n = times.size
@@ -252,14 +300,15 @@ def fit_mle(times: Sequence[float], T: float) -> FitResult:
     x0 = np.log([0.5 * n / T, max(0.5 * omega0, BETA_FLOOR), omega0])
     bounds = [(-60.0, 60.0), (math.log(BETA_FLOOR), 60.0), (-60.0, 60.0)]
 
-    res = maximize(lambda v: _neg_ll_and_grad(v, times, T), x0, bounds=bounds)
+    res = maximize(lambda v: _neg_ll_grad_hess(v, times, T), x0, bounds=bounds,
+                   unidentified=lambda v: _effectively_poisson(*np.exp(v[:2]).tolist()))
     mu, beta, omega = np.exp(res.x)
     params = HawkesParams(mu=float(mu), beta=float(beta), omega=float(omega))
 
     warnings = []
     if params.branching_ratio >= 1.0:
         warnings.append("supercritical")
-    if params.beta < _POISSON_BETA_RATIO * params.mu:
+    if _effectively_poisson(params.mu, params.beta):
         warnings.append("effectively_poisson")
     return FitResult(
         "hawkes", {"mu": params.mu, "beta": params.beta, "omega": params.omega},

@@ -7,6 +7,7 @@ enumeration) so it cannot share a bug with the package's fast paths.
 import csv
 import json
 import math
+import sys
 from collections import deque
 from datetime import datetime, timezone
 from itertools import combinations
@@ -264,10 +265,12 @@ def nelder_mead_css_fit(y, p, q):
 
 def loop_decay_state(times, omega):
     """Decay sums A_i and B_i = -dA_i/domega by the plain per-step loop that
-    stores each value through numpy indexing."""
+    stores each value through numpy indexing, and
+    C_i = sum_{j<i} (t_i - t_j)^2 exp(-omega (t_i - t_j)) by the direct O(n^2) sum."""
     n = times.size
     A = np.zeros(n)
     B = np.zeros(n)
+    C = np.zeros(n)
     ts = times.tolist()
     a = b = 0.0
     for i in range(1, n):
@@ -277,7 +280,9 @@ def loop_decay_state(times, omega):
         a = r * (a + 1.0)
         A[i] = a
         B[i] = b
-    return A, B
+        lags = times[i] - times[:i]
+        C[i] = float(np.sum(lags * lags * np.exp(-omega * lags)))
+    return A, B, C
 
 
 def vote_per_video(tag_sets, components):
@@ -327,6 +332,65 @@ def simplex_fallback_maximize(fun, x0, bounds=None, grad_tol=1e-6, max_iter=500)
                 float(np.max(np.abs(fun(x)[1]))) < grad_tol
 
     return x, -best, bool(converged), n_iter
+
+
+NEWTON_STEPS = 3
+HESS_STEP = 1e-6
+POLISH_TOL = 1e-10
+_RISE_TOL = 4.0 * sys.float_info.epsilon  # relative rise in f a Newton step may make
+
+
+def _newton_polish(fun, x, f, g, lo, hi):
+    """Up to NEWTON_STEPS safeguarded Newton steps on fun from (x, f, g);
+    returns the last accepted point, its value and gradient, and the steps taken."""
+    steps = 0
+    eye = np.eye(x.size) * HESS_STEP
+    while steps < NEWTON_STEPS and np.max(np.abs(g)) >= POLISH_TOL:
+        H = np.array([fun(x + e)[1] - fun(x - e)[1] for e in eye])
+        H = (H + H.T) / (4.0 * HESS_STEP)
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            break
+        x_new = np.clip(x - np.linalg.solve(H, g), lo, hi)
+        f_new, g_new = fun(x_new)
+        if not f_new <= f + _RISE_TOL * abs(f):
+            break
+        x, f, g = x_new, float(f_new), np.asarray(g_new)
+        steps += 1
+    return x, f, g, steps
+
+
+def polish_fallback_maximize(fun, x0, bounds=None, grad_tol=1e-6, max_iter=500):
+    """The maximizer before the analytic Hessian: L-BFGS-B, then at most
+    NEWTON_STEPS Newton steps on a Hessian differenced from the gradient,
+    then Nelder-Mead where the gradient sup-norm stays >= grad_tol.  fun(x)
+    gives (f, g).  Returns (argmax, max value, converged, iterations, route,
+    gradient sup-norm)."""
+    from scipy.optimize import minimize
+    x0 = np.asarray(x0, dtype=float)
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                   options={"maxiter": max_iter, "ftol": 1e-12, "gtol": grad_tol})
+    x, best, g, n_iter = np.asarray(res.x), float(res.fun), np.asarray(res.jac), int(res.nit)
+    route = "lbfgsb"
+
+    if np.max(np.abs(g)) >= grad_tol:
+        lo, hi = np.array(bounds, dtype=float).T if bounds else (-np.inf, np.inf)
+        x, best, g, steps = _newton_polish(fun, x, best, g, lo, hi)
+        n_iter += steps
+        route = "lbfgsb+newton"
+        if np.max(np.abs(g)) >= grad_tol:
+            route = "lbfgsb+simplex"
+            res2 = minimize(lambda v: fun(v)[0], x, method="Nelder-Mead",
+                            bounds=bounds,
+                            options={"maxiter": max_iter, "xatol": 1e-10, "fatol": 1e-12})
+            n_iter += int(res2.nit)
+            if res2.fun <= best:
+                x, best = np.asarray(res2.x), float(res2.fun)
+                g = np.asarray(fun(x)[1])
+
+    grad_max = float(np.max(np.abs(g)))
+    return x, -best, grad_max < grad_tol, n_iter, route, grad_max
 
 
 def validate_stream(s):

@@ -594,13 +594,29 @@ class TestMalformedArtifacts:
          lambda doc: doc["clusters"][1].update(attributable="false"),
          "malformed ('attributable' is not a JSON boolean: 'false'); "
          "rerun 'tagburst attribute'\n"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][1]["hawkes"].update(warnings="effectively_poisson"),
+         "malformed ('warnings' is not a JSON list of strings: 'effectively_poisson'); "
+         "rerun 'tagburst fit'\n"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][0]["hawkes"].update(beta=True),
+         "malformed (parameter 'beta' is not a JSON number or list of numbers: True); "
+         "rerun 'tagburst fit'\n"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][0]["hawkes"].update(mu="0.5"),
+         "malformed (parameter 'mu' is not a JSON number or list of numbers: '0.5'); "
+         "rerun 'tagburst fit'\n"),
+        ("attribute", "fits.json",
+         lambda doc: doc["clusters"][0]["poisson"].update(loglik="-108.7"),
+         "malformed ('loglik' is not a JSON number: '-108.7'); rerun 'tagburst fit'\n"),
     ], ids=["clusters-without-clusters", "fit-without-model", "clusters-not-a-list",
             "attribution-without-clusters", "fits-not-json", "loglik-not-a-number",
             "mu-not-a-number", "report-mu-not-a-number", "assignments-without-video-id", "cluster-id-not-a-number",
             "assignments-row-without-cluster-id", "hawkes-without-beta",
             "cluster-dropped-from-clusters", "extra-cluster-in-clusters",
             "converged-not-a-boolean", "n-params-not-an-integer", "n-iter-not-an-integer",
-            "attributable-not-a-boolean"])
+            "attributable-not-a-boolean", "warnings-not-a-list", "beta-a-boolean",
+            "mu-a-string", "loglik-a-string"])
     def test_one_line_error_names_the_file(self, corpus, capsys, stage, artifact, edit,
                                            fragment):
         events = str(corpus / "events.jsonl")

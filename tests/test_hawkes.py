@@ -8,9 +8,10 @@ import pytest
 
 from oracles import (central_difference, direct_compensator, direct_intensity,
                      direct_log_likelihood, drift_objective, loop_decay_state,
-                     simplex_fallback_maximize)
+                     polish_fallback_maximize, simplex_fallback_maximize)
 from tagburst import _optim, hawkes
 from tagburst.baselines import fit_arima_lite, fit_nhpp_drift, fit_pc_nhpp, fit_poisson
+from tagburst.cli import main
 from tagburst.forecast import default_split, split_stream
 from tagburst.hawkes import (FitResult, HawkesParams, _decay_state, _excitation, decay_sums,
                              fit_mle, fit_result_from_dict, fit_result_to_dict, log_likelihood,
@@ -109,10 +110,13 @@ class TestDecaySums:
             streams += [t, np.round(t, 1)]  # the rounded copy has tied times
         for t in streams:
             for omega in [*np.geomspace(1e-3, 500.0, 9), 1e26]:
-                A0, B0 = loop_decay_state(t, omega)
-                A, B = _decay_state(t, omega)
+                A0, B0, C0 = loop_decay_state(t, omega)
+                A, B, C = _decay_state(t, omega)
                 assert A.tobytes() == A0.tobytes() and B.tobytes() == B0.tobytes()
                 assert decay_sums(t, omega).tobytes() == A0.tobytes()
+                # C's recursion sums positive terms, as A's does; the oracle's
+                # C is the direct O(n^2) sum
+                np.testing.assert_allclose(C, C0, rtol=1e-12, atol=1e-300)
 
 
 class TestCompensator:
@@ -312,12 +316,12 @@ def hawkes_stream(seed):
     return simulate_hawkes(HawkesParams(0.5, 0.8, 1.2), 100.0, seed)
 
 
-INTERIOR_STALL_SEED = 9  # hawkes_stream(9): L-BFGS-B stops short of GRAD_TOL inside the box
+INTERIOR_STALL_SEED = 9  # hawkes_stream(9): L-BFGS-B stopped short of GRAD_TOL inside the box
 
 
 def beta_floor_stream():
-    """40 uniform events over 50 days: the fit drives beta to BETA_FLOOR,
-    where the Newton polish fails and the simplex runs."""
+    """40 uniform events over 50 days: the fit drives beta to BETA_FLOOR, an
+    effectively Poisson fit, so the simplex runs."""
     return np.sort(np.random.default_rng(1).uniform(0.0, 50.0, size=40))
 
 
@@ -333,35 +337,46 @@ def rising_stream(seed):
     return np.sort(60.0 * np.sqrt(np.random.default_rng(seed).uniform(size=60)))
 
 
+def readme_hawkes_fits(tmp_path):
+    """Run the README pipeline's stages up to forecast in-process: the fit
+    stage's full-window Hawkes fits, then the 60-day training-window and
+    pooled fits of --models hawkes,hawkes_global."""
+    out, events = str(tmp_path), str(tmp_path / "events.jsonl")
+    for argv in (["simulate", "--out", out, "--seed", "0", "--t-days", "120"],
+                 ["cluster", "--input", events, "--out", out, "--eta", "2"],
+                 ["fit", "--input", events, "--out", out],
+                 ["forecast", "--input", events, "--out", out, "--train-days", "60",
+                  "--models", "hawkes,hawkes_global"]):
+        assert main(argv) == 0, argv
+
+
 class TestObjective:
-    """The maximize contract: fun(x) gives the negated (value, gradient)."""
+    """The maximize contract: fun(x) gives the negated (value, gradient, Hessian)."""
 
     @staticmethod
     def capture(monkeypatch, module, seen):
         real = _optim.maximize
 
-        def spy(fun, x0, bounds=None):
-            seen.append((fun, np.asarray(x0), bounds))
-            return real(fun, x0, bounds=bounds)
+        def spy(fun, x0, bounds=None, unidentified=None):
+            seen.append((fun, np.asarray(x0), bounds, unidentified))
+            return real(fun, x0, bounds=bounds, unidentified=unidentified)
         monkeypatch.setattr(module, "maximize", spy)
 
     @staticmethod
-    def log_calls(monkeypatch, calls, windows):
-        """Count the objective's calls, and record for each scipy method the
-        call counts at which it was entered and returned, and its result."""
+    def log_calls(monkeypatch, calls, methods):
+        """Count the objective's calls, and record the method of each scipy
+        minimize call."""
         real_maximize, real_minimize = _optim.maximize, _optim.minimize
 
-        def counting_maximize(fun, x0, bounds=None):
+        def counting_maximize(fun, x0, bounds=None, unidentified=None):
             def logged(x):
                 calls[0] += 1
                 return fun(x)
-            return real_maximize(logged, x0, bounds=bounds)
+            return real_maximize(logged, x0, bounds=bounds, unidentified=unidentified)
 
         def spy_minimize(f, x0, **kwargs):
-            entered = calls[0]
-            res = real_minimize(f, x0, **kwargs)
-            windows[kwargs["method"]] = (entered, calls[0], res)
-            return res
+            methods.append(kwargs["method"])
+            return real_minimize(f, x0, **kwargs)
 
         monkeypatch.setattr(hawkes, "maximize", counting_maximize)
         monkeypatch.setattr(_optim, "minimize", spy_minimize)
@@ -371,25 +386,43 @@ class TestObjective:
         times = random_times(rng, 300, 50.0)
         for _ in range(20):
             x = rng.uniform(-4.0, 4.0, size=3)
-            value, grad = hawkes._neg_ll_and_grad(x, times, 50.0)
-            ll, g = hawkes._loglik_and_grad(*np.exp(x), times, 50.0)
+            value, grad, hess = hawkes._neg_ll_grad_hess(x, times, 50.0)
+            ll, g, H = hawkes._loglik_and_grad(*np.exp(x), times, 50.0, hessian=True)
             assert value == -ll
             np.testing.assert_array_equal(grad, -g * np.exp(x))
+            np.testing.assert_array_equal(
+                hess, -(H * np.outer(np.exp(x), np.exp(x)) + np.diag(g * np.exp(x))))
+            # the Hessian leaves the value and the gradient as they were
+            ll_only, g_only = hawkes._loglik_and_grad(*np.exp(x), times, 50.0)
+            assert ll_only == ll
+            np.testing.assert_array_equal(g_only, g)
 
-    def test_newton_polish_finishes_interior_stall(self, monkeypatch):
-        calls, windows = [0], {}
-        self.log_calls(monkeypatch, calls, windows)
+    def test_hessian_is_the_gradients_derivative(self):
+        rng = np.random.default_rng(73)
+        times = random_times(rng, 300, 50.0)
+        for _ in range(20):
+            x = rng.uniform(-4.0, 4.0, size=3)
+            hess = hawkes._neg_ll_grad_hess(x, times, 50.0)[2]
+            numeric = np.array([
+                central_difference(lambda v, k=k: hawkes._neg_ll_grad_hess(v, times, 50.0)[1][k],
+                                   x, 1e-6)
+                for k in range(3)])
+            np.testing.assert_allclose(hess, numeric, rtol=1e-6,
+                                       atol=1e-6 * float(np.max(np.abs(hess))))
+
+    def test_newton_finishes_interior_stall(self, monkeypatch):
+        # L-BFGS-B stopped short of GRAD_TOL inside the box on this stream;
+        # Newton on the analytic Hessian gets there with no scipy call and no
+        # differenced gradients: one objective call to start, then one per
+        # step tried
+        calls, methods = [0], []
+        self.log_calls(monkeypatch, calls, methods)
         fit = fit_mle(hawkes_stream(INTERIOR_STALL_SEED), 100.0)
-        assert set(windows) == {"L-BFGS-B"}
-        _, returned, res = windows["L-BFGS-B"]
-        assert np.max(np.abs(res.jac)) >= _optim.GRAD_TOL
+        assert methods == []
         assert all(0.1 < fit.params[k] < 10.0 for k in ("mu", "beta", "omega"))
-        assert fit.optimizer == "lbfgsb+newton"
-        assert fit.converged and fit.grad_max < 1e-10
-        steps = fit.n_iterations - res.nit
-        assert 1 <= steps <= _optim.NEWTON_STEPS
-        # each step: two gradients per parameter for the Hessian, one at the new point
-        assert calls[0] - returned == steps * (2 * 3 + 1)
+        assert fit.optimizer == "newton"
+        assert fit.converged and fit.grad_max < _optim.GRAD_TOL
+        assert fit.n_iterations + 1 <= calls[0] <= 2 * fit.n_iterations + 1
 
     def test_simplex_point_converged_only_where_stationary(self):
         # a kink at the optimum: Nelder-Mead finds it and reports success,
@@ -399,12 +432,12 @@ class TestObjective:
             f = abs(u) + (x[1] - 0.5) ** 2 + 0.1 * (x[0] - 0.2) ** 2
             g = np.array([np.sign(u) + 0.2 * (x[0] - 0.2),
                           -0.7 * np.sign(u) + 2.0 * (x[1] - 0.5)])
-            return f, g
+            return f, g, np.diag([0.2, 2.0])
         res = _optim.maximize(fun, [3.0, -2.0])
-        assert res.route == "lbfgsb+simplex"
+        assert res.route == "newton+simplex"
         assert res.grad_max == float(np.max(np.abs(fun(res.x)[1]))) > 0.01
         assert not res.converged
-        assert simplex_fallback_maximize(fun, [3.0, -2.0])[2]
+        assert simplex_fallback_maximize(lambda v: fun(v)[:2], [3.0, -2.0])[2]
 
     def test_never_worse_than_simplex_fallback(self, monkeypatch):
         seen = []
@@ -412,15 +445,33 @@ class TestObjective:
         for times, T in simplex_fallback_streams():
             fit_mle(times, T)
         routes = set()
-        for fun, x0, bounds in seen:
-            new = _optim.maximize(fun, x0, bounds=bounds)
-            old_value = simplex_fallback_maximize(fun, x0, bounds=bounds)[1]
+        for fun, x0, bounds, unidentified in seen:
+            new = _optim.maximize(fun, x0, bounds=bounds, unidentified=unidentified)
+            old_value = simplex_fallback_maximize(lambda v: fun(v)[:2], x0, bounds=bounds)[1]
             assert new.value >= old_value - 1e-9
             grad_max = float(np.max(np.abs(fun(new.x)[1])))
             assert new.grad_max == grad_max
             assert new.converged == (grad_max < _optim.GRAD_TOL)
             routes.add(new.route)
-        assert routes == {"lbfgsb", "lbfgsb+newton", "lbfgsb+simplex"}
+        assert routes == {"newton", "newton+simplex"}
+
+    def test_never_below_the_polish_fallback(self, monkeypatch, tmp_path):
+        # the maximizer before the analytic Hessian (L-BFGS-B, a Newton
+        # polish on a differenced Hessian, Nelder-Mead): no fit of the README
+        # run or of the fallback streams ends lower, and none it converged
+        # is left unconverged
+        seen = []
+        self.capture(monkeypatch, hawkes, seen)
+        readme_hawkes_fits(tmp_path)
+        assert len(seen) == 7  # 3 full windows, 3 training windows, 1 pooled
+        for times, T in simplex_fallback_streams():
+            fit_mle(times, T)
+        for fun, x0, bounds, unidentified in seen:
+            new = _optim.maximize(fun, x0, bounds=bounds, unidentified=unidentified)
+            _, old_value, old_converged, *_ = polish_fallback_maximize(
+                lambda v: fun(v)[:2], x0, bounds=bounds)
+            assert new.value >= old_value - 1e-9
+            assert new.converged or not old_converged
 
 
 def readme_drift_windows(tmp_path):

@@ -1,6 +1,7 @@
-"""Stages that never fit load no scipy optimizer, the lazily loaded
-`minimize` attributes are scipy's own function once touched, and importing
-the package asks OpenBLAS for one thread unless the caller chose a number."""
+"""Stages that never fit load no scipy optimizer, and a Hawkes fit loads it
+only when it comes out effectively Poisson; the lazily loaded `minimize`
+attributes are scipy's own function once touched, and importing the package
+asks OpenBLAS for one thread unless the caller chose a number."""
 
 import json
 import os
@@ -52,6 +53,21 @@ def test_minimize_attributes_are_scipys_after_first_access():
                   "import scipy.optimize as so\n"
                   "print(json.dumps([o.minimize is so.minimize, b.minimize is so.minimize]))")
     assert json.loads(proc.stdout) == [True, True]
+
+
+@pytest.mark.parametrize("stream, optimizer, poisson", [
+    ("hawkes_stream(0), 100.0", "newton", False),
+    ("beta_floor_stream(), 50.0", "newton+simplex", True),
+])
+def test_only_an_effectively_poisson_fit_loads_the_optimizer(stream, optimizer, poisson):
+    tests = str(Path(__file__).resolve().parent)
+    proc = python("-c", f"import json, sys\nsys.path.insert(0, {tests!r})\n"
+                  "from test_hawkes import beta_floor_stream, fit_mle, hawkes_stream\n"
+                  "before = 'scipy.optimize' in sys.modules\n"
+                  f"fit = fit_mle({stream})\n"
+                  "print(json.dumps([before, fit.optimizer, 'effectively_poisson' in fit.warnings,"
+                  " 'scipy.optimize' in sys.modules]))")
+    assert json.loads(proc.stdout) == [False, optimizer, poisson, poisson]
 
 
 @pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")])
